@@ -7,7 +7,7 @@
 //! paired benchmarks is the headline speedup tracked in BENCH_*.json.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dt_debugger::{trace, trace_with_plan, BreakPlan, SessionConfig};
+use dt_debugger::{trace, trace_with_plan_stats, BreakPlan, SessionConfig};
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 
 fn bench_program(c: &mut Criterion, name: &str) {
@@ -23,7 +23,9 @@ fn bench_program(c: &mut Criterion, name: &str) {
     let plan = BreakPlan::new(&obj);
     assert_eq!(
         trace(&obj, harness, &inputs, &session).unwrap(),
-        trace_with_plan(&obj, harness, &inputs, &session, &plan).unwrap(),
+        trace_with_plan_stats(&obj, harness, &inputs, &session, &plan)
+            .unwrap()
+            .0,
         "{name}: engines must agree before being compared"
     );
 
@@ -35,12 +37,14 @@ fn bench_program(c: &mut Criterion, name: &str) {
         b.iter(|| trace(&obj, harness, &inputs, &session).unwrap())
     });
     group.bench_function(format!("trace_fast_{name}_o2").as_str(), |b| {
-        b.iter(|| trace_with_plan(&obj, harness, &inputs, &session, &plan).unwrap())
+        b.iter(|| trace_with_plan_stats(&obj, harness, &inputs, &session, &plan).unwrap())
     });
     // The one-shot form (plan built inside the measurement) bounds the
     // break-even point for single-use objects like variant builds.
     group.bench_function(format!("trace_fast_oneshot_{name}_o2").as_str(), |b| {
-        b.iter(|| dt_debugger::trace_fast(&obj, harness, &inputs, &session).unwrap())
+        b.iter(|| {
+            trace_with_plan_stats(&obj, harness, &inputs, &session, &BreakPlan::new(&obj)).unwrap()
+        })
     });
     group.finish();
 }

@@ -111,7 +111,8 @@ fn bench_tuner_configs(c: &mut Criterion) {
             gates
                 .iter()
                 .map(|g| {
-                    debugtuner::eval::evaluate_config(&p, PERSONALITY, LEVEL, g, 1_000_000).product
+                    let fresh = debugtuner::DebugTuner::new(tuner.config.clone());
+                    fresh.evaluate_config(&p, PERSONALITY, LEVEL, g).product
                 })
                 .sum::<f64>()
         })

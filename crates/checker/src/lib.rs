@@ -27,10 +27,10 @@
 //! location lists — the oracle's baseline is the source semantics, not
 //! another debugger view.
 
-use dt_debugger::{DebugTrace, SessionConfig};
+use dt_debugger::{BreakPlan, DebugTrace, SessionConfig, TraceStats};
 use dt_machine::Object;
 use dt_minic::analysis::SourceAnalysis;
-use dt_passes::{CompileOptions, CompileSession, OptLevel, PassGate, Personality};
+use dt_passes::CompileOptions;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -226,154 +226,76 @@ pub fn check(opt: &DebugTrace, base: &DebugTrace, analysis: &SourceAnalysis) -> 
     CheckReport { defects, summary }
 }
 
-/// Cache key of one memoized ground-truth baseline trace.
-type BaseKey = (String, Vec<Vec<u8>>, Vec<i64>, u64);
-
-/// A stateful correctness oracle over one source program: the parsed
-/// analysis, the `O0` ground-truth build, memoized baseline traces,
-/// and one checkpointed [`CompileSession`] per optimization level are
-/// all built once and shared by every gated configuration checked
-/// through it. Use this instead of repeated [`check_compiled`] calls
-/// when checking many gates/levels of the same program.
-pub struct Oracle {
-    personality: Personality,
-    profile: Option<dt_ir::Profile>,
-    analysis: SourceAnalysis,
-    module: dt_ir::Module,
-    o0: Object,
+/// The `O0` ground truth of one source program: the per-line scope
+/// analysis, the lowered IR module (which optimized builds compile
+/// from), the `O0` object and its breakpoint plan.
+///
+/// The `O0` pipeline is empty and its backend configuration is the
+/// default for both personalities, so one ground truth serves every
+/// personality, level, gate and profile of the program.
+pub struct GroundTruth {
+    pub analysis: SourceAnalysis,
+    pub module: dt_ir::Module,
+    pub o0: Object,
     /// Precomputed breakpoint plan of the `O0` object: every
-    /// ground-truth session through the oracle takes the fast path.
-    o0_plan: dt_debugger::BreakPlan,
-    sessions: HashMap<OptLevel, CompileSession>,
-    base_traces: HashMap<BaseKey, DebugTrace>,
+    /// ground-truth session takes the fast path.
+    pub o0_plan: BreakPlan,
 }
 
-impl Oracle {
-    /// Builds the oracle's shared state: parse + analyze + lower the
-    /// source once and produce the `O0` ground-truth object.
-    pub fn new(source: &str, personality: Personality) -> Result<Self, String> {
-        Self::with_profile(source, personality, None)
-    }
-
-    /// [`Oracle::new`] with an AutoFDO profile applied to every
-    /// optimized build (the `O0` ground truth is always unprofiled,
-    /// matching [`check_compiled`]).
-    pub fn with_profile(
-        source: &str,
-        personality: Personality,
-        profile: Option<dt_ir::Profile>,
-    ) -> Result<Self, String> {
-        let parsed = dt_minic::compile_check(source)?;
-        let analysis = SourceAnalysis::of(&parsed);
+impl GroundTruth {
+    /// Parses, analyzes and lowers `source` once and builds its `O0`
+    /// object.
+    pub fn new(source: &str) -> Result<Self, String> {
+        let analysis = SourceAnalysis::of(&dt_minic::compile_check(source)?);
         let module = dt_frontend::lower_source(source)?;
-        // The O0 pipeline is empty and its backend config is the
-        // default for both personalities, so this equals
-        // `compile_source` at O0.
         let o0 = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
-        let o0_plan = dt_debugger::BreakPlan::new(&o0);
-        Ok(Oracle {
-            personality,
-            profile,
+        let o0_plan = BreakPlan::new(&o0);
+        Ok(GroundTruth {
             analysis,
             module,
             o0,
             o0_plan,
-            sessions: HashMap::new(),
-            base_traces: HashMap::new(),
         })
     }
 
-    /// The `O0` ground-truth object.
-    pub fn o0(&self) -> &Object {
-        &self.o0
-    }
-
-    /// The per-line scope analysis of the source.
-    pub fn analysis(&self) -> &SourceAnalysis {
-        &self.analysis
-    }
-
-    /// The checkpointed compile session for `level`, built on first
-    /// use (one full ungated pipeline run per level).
-    pub fn session(&mut self, level: OptLevel) -> &CompileSession {
-        self.sessions.entry(level).or_insert_with(|| {
-            CompileSession::new(
-                self.module.clone(),
-                self.personality,
-                level,
-                self.profile.clone(),
-            )
-        })
-    }
-
-    /// Builds one gated variant through the level's shared session
-    /// (bit-identical to a from-scratch build).
-    pub fn build(&mut self, level: OptLevel, gate: &PassGate) -> Object {
-        self.session(level).compile_variant(gate)
-    }
-
-    /// Ensures the ground-truth baseline trace for this input set is
-    /// memoized, then returns its key.
-    fn ensure_base(
-        &mut self,
+    /// A ground-truth ([`SessionConfig::ground_truth`]) session of the
+    /// `O0` object over `inputs`: the baseline [`check`] diffs against.
+    pub fn trace(
+        &self,
         harness: &str,
         inputs: &[Vec<u8>],
         entry_args: &[i64],
         max_steps_per_input: u64,
-    ) -> Result<BaseKey, String> {
-        let key: BaseKey = (
-            harness.to_string(),
-            inputs.to_vec(),
-            entry_args.to_vec(),
-            max_steps_per_input,
-        );
-        if !self.base_traces.contains_key(&key) {
-            let gt_session = SessionConfig {
-                max_steps_per_input,
-                entry_args: entry_args.to_vec(),
-                ground_truth: true,
-            };
-            let base = dt_debugger::trace_with_plan(
-                &self.o0,
-                harness,
-                inputs,
-                &gt_session,
-                &self.o0_plan,
-            )?;
-            self.base_traces.insert(key.clone(), base);
-        }
-        Ok(key)
-    }
-
-    /// Checks one gated configuration at `level` against the shared
-    /// ground truth: builds the variant through the level's session,
-    /// traces it, and diffs with [`check`].
-    pub fn check_gate(
-        &mut self,
-        harness: &str,
-        inputs: &[Vec<u8>],
-        entry_args: &[i64],
-        level: OptLevel,
-        gate: &PassGate,
-        max_steps_per_input: u64,
-    ) -> Result<CheckReport, String> {
-        let opt_obj = self.build(level, gate);
-        let key = self.ensure_base(harness, inputs, entry_args, max_steps_per_input)?;
+    ) -> Result<(DebugTrace, TraceStats), String> {
         let session = SessionConfig {
             max_steps_per_input,
             entry_args: entry_args.to_vec(),
-            ground_truth: false,
+            ground_truth: true,
         };
-        let opt = dt_debugger::trace_fast(&opt_obj, harness, inputs, &session)?;
-        let base = &self.base_traces[&key];
-        Ok(check(&opt, base, &self.analysis))
+        dt_debugger::trace_with_plan_stats(&self.o0, harness, inputs, &session, &self.o0_plan)
     }
 }
 
-/// Compiles `source` at O0 (ground-truth session) and with `options`,
-/// traces both over `inputs`, and runs [`check`]. The one-call form of
-/// the oracle — a throwaway [`Oracle`] under the hood; hold an
-/// `Oracle` yourself to share its state across configurations.
+/// A plain (non-ground-truth) fast-path session of an optimized object.
+fn trace_optimized(
+    obj: &Object,
+    plan: &BreakPlan,
+    harness: &str,
+    inputs: &[Vec<u8>],
+    entry_args: &[i64],
+    max_steps_per_input: u64,
+) -> Result<DebugTrace, String> {
+    let session = SessionConfig {
+        max_steps_per_input,
+        entry_args: entry_args.to_vec(),
+        ground_truth: false,
+    };
+    dt_debugger::trace_with_plan_stats(obj, harness, inputs, &session, plan).map(|(t, _)| t)
+}
+
+/// Compiles `source` at O0 (ground-truth session) and with `options`
+/// (gate and profile included), traces both over `inputs`, and runs
+/// [`check`].
 pub fn check_compiled(
     source: &str,
     harness: &str,
@@ -382,15 +304,18 @@ pub fn check_compiled(
     options: &CompileOptions,
     max_steps_per_input: u64,
 ) -> Result<CheckReport, String> {
-    let mut oracle = Oracle::with_profile(source, options.personality, options.profile.clone())?;
-    oracle.check_gate(
+    let gt = GroundTruth::new(source)?;
+    let opt_obj = dt_passes::compile(&gt.module, options);
+    let (base, _) = gt.trace(harness, inputs, entry_args, max_steps_per_input)?;
+    let opt = trace_optimized(
+        &opt_obj,
+        &BreakPlan::new(&opt_obj),
         harness,
         inputs,
         entry_args,
-        options.level,
-        &options.gate,
         max_steps_per_input,
-    )
+    )?;
+    Ok(check(&opt, &base, &gt.analysis))
 }
 
 /// A defect-hunting fuzzing campaign (the predecessor paper's workflow
@@ -423,9 +348,10 @@ pub struct HuntResult {
     pub defect_inputs: Vec<(Vec<u8>, DefectSummary)>,
 }
 
-/// Fuzzes the optimized build of `source`, flagging inputs on which
-/// the debugger's view of the optimized binary diverges from the O0
-/// ground truth. Deterministic for a fixed [`HuntConfig`].
+/// Fuzzes the optimized build of `source` (gate and profile from
+/// `options`), flagging inputs on which the debugger's view of the
+/// optimized binary diverges from the O0 ground truth. Deterministic
+/// for a fixed [`HuntConfig`].
 pub fn hunt(
     source: &str,
     harness: &str,
@@ -433,99 +359,55 @@ pub fn hunt(
     seeds: &[Vec<u8>],
     config: &HuntConfig,
 ) -> Result<HuntResult, String> {
-    let gates = [options.gate.clone()];
-    let mut results = hunt_variants(source, harness, options, &gates, seeds, config)?;
-    Ok(results.pop().expect("one gate, one result"))
-}
-
-/// Hunts several gated variants of the same program in one go, one
-/// campaign per gate (each identical to a standalone [`hunt`] of that
-/// gate). The expensive shared state — source analysis, the `O0`
-/// ground truth, per-input baseline traces, and the level's
-/// checkpointed compile session — is built once and reused across
-/// gates. `options.gate` is ignored; `gates` drives the campaigns.
-pub fn hunt_variants(
-    source: &str,
-    harness: &str,
-    options: &CompileOptions,
-    gates: &[PassGate],
-    seeds: &[Vec<u8>],
-    config: &HuntConfig,
-) -> Result<Vec<HuntResult>, String> {
-    let mut oracle = Oracle::with_profile(source, options.personality, options.profile.clone())?;
-    let opt_objs: Vec<Object> = gates
-        .iter()
-        .map(|g| oracle.build(options.level, g))
-        .collect();
-
-    let gt_session = SessionConfig {
-        max_steps_per_input: config.max_steps_per_input,
-        entry_args: config.fuzz.entry_args.clone(),
-        ground_truth: true,
-    };
-    let session = SessionConfig {
-        ground_truth: false,
-        ..gt_session.clone()
-    };
-    // The ground truth is gate-independent: memoize per-input baseline
-    // traces across all campaigns (`None` = the O0 run failed).
+    let gt = GroundTruth::new(source)?;
+    let opt_obj = dt_passes::compile(&gt.module, options);
+    // One plan for the optimized binary, reused across every fuzzed
+    // input (the oracle traces the same object per input — the hot
+    // loop of the hunt).
+    let opt_plan = BreakPlan::new(&opt_obj);
+    let (entry_args, max_steps) = (&config.fuzz.entry_args, config.max_steps_per_input);
+    // The fuzzer may ask about the same input more than once: memoize
+    // per-input baseline traces (`None` = the O0 run failed).
     let mut base_memo: HashMap<Vec<u8>, Option<DebugTrace>> = HashMap::new();
-
-    let mut results = Vec::with_capacity(gates.len());
-    for opt_obj in &opt_objs {
-        // One plan per variant binary, reused across every fuzzed input
-        // of this campaign (the oracle traces the same object per
-        // input — the hot loop of the hunt).
-        let opt_plan = dt_debugger::BreakPlan::new(opt_obj);
-        let mut defect_inputs: Vec<(Vec<u8>, DefectSummary)> = Vec::new();
-        let report = {
-            let interesting = |input: &[u8]| -> bool {
-                let base = base_memo.entry(input.to_vec()).or_insert_with(|| {
-                    dt_debugger::trace_with_plan(
-                        &oracle.o0,
-                        harness,
-                        &[input.to_vec()],
-                        &gt_session,
-                        &oracle.o0_plan,
-                    )
-                    .ok()
-                });
-                let Some(base) = base else {
-                    return false;
-                };
-                let inputs = [input.to_vec()];
-                let Ok(opt) =
-                    dt_debugger::trace_with_plan(opt_obj, harness, &inputs, &session, &opt_plan)
-                else {
-                    return false;
-                };
-                let summary = check(&opt, base, &oracle.analysis).summary;
-                if summary.total() > 0 {
-                    defect_inputs.push((input.to_vec(), summary));
-                    true
-                } else {
-                    false
-                }
-            };
-            dt_corpus::fuzz_with_oracle(opt_obj, harness, seeds, &config.fuzz, interesting)
-        };
-        // The fuzzer deduplicates oracle hits after the oracle returns,
-        // so drop the duplicate summaries it never recorded.
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        defect_inputs.retain(|(i, _)| seen.insert(i.clone()));
-        results.push(HuntResult {
-            report,
-            defect_inputs,
+    let mut defect_inputs: Vec<(Vec<u8>, DefectSummary)> = Vec::new();
+    let interesting = |input: &[u8]| -> bool {
+        let inputs = [input.to_vec()];
+        let base = base_memo.entry(input.to_vec()).or_insert_with(|| {
+            gt.trace(harness, &inputs, entry_args, max_steps)
+                .ok()
+                .map(|(t, _)| t)
         });
-    }
-    Ok(results)
+        let Some(base) = base else {
+            return false;
+        };
+        let Ok(opt) = trace_optimized(&opt_obj, &opt_plan, harness, &inputs, entry_args, max_steps)
+        else {
+            return false;
+        };
+        let summary = check(&opt, base, &gt.analysis).summary;
+        if summary.total() > 0 {
+            defect_inputs.push((input.to_vec(), summary));
+            true
+        } else {
+            false
+        }
+    };
+    let report = dt_corpus::fuzz_with_oracle(&opt_obj, harness, seeds, &config.fuzz, interesting);
+    // The fuzzer deduplicates oracle hits after the oracle returns, so
+    // drop the duplicate summaries it never recorded.
+    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    defect_inputs.retain(|(i, _)| seen.insert(i.clone()));
+    Ok(HuntResult {
+        report,
+        defect_inputs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dt_debugger::{DebugTrace, LineObservation};
-    use dt_passes::{PassGate, Personality};
+    use dt_passes::{OptLevel, PassGate, Personality};
     use std::collections::{BTreeMap, BTreeSet};
 
     fn obs(func: &str, values: &[(&str, i64)]) -> LineObservation {
@@ -649,62 +531,6 @@ int f() {
         .unwrap();
         assert_eq!(r.summary.total(), 0, "O0 vs O0 must be clean: {r:?}");
         assert!(r.summary.lines_checked > 0);
-    }
-
-    #[test]
-    fn oracle_matches_check_compiled_and_shares_state() {
-        let inputs = [vec![]];
-        let mut oracle = Oracle::new(SRC, Personality::Gcc).unwrap();
-        for gate in [PassGate::allow_all(), PassGate::disabling(["dce"])] {
-            let opts = CompileOptions {
-                gate: gate.clone(),
-                ..CompileOptions::new(Personality::Gcc, OptLevel::O2)
-            };
-            let one_shot = check_compiled(SRC, "f", &inputs, &[], &opts, 1_000_000).unwrap();
-            let shared = oracle
-                .check_gate("f", &inputs, &[], OptLevel::O2, &gate, 1_000_000)
-                .unwrap();
-            assert_eq!(shared, one_shot, "gate {:?}", gate.disabled_names());
-        }
-        // One session and one memoized baseline served both gates.
-        assert_eq!(oracle.sessions.len(), 1);
-        assert_eq!(oracle.base_traces.len(), 1);
-        assert!(oracle.session(OptLevel::O2).stats().variants >= 2);
-    }
-
-    #[test]
-    fn hunt_variants_matches_standalone_hunts() {
-        let src = "\
-int process(int n) {
-    int acc = 0;
-    for (int i = 0; i < 3; i++) {
-        int t = in(i) + n;
-        acc += t * 2;
-    }
-    out(acc);
-    return acc;
-}";
-        let opts = CompileOptions::new(Personality::Gcc, OptLevel::O2);
-        let config = HuntConfig {
-            fuzz: dt_corpus::FuzzConfig {
-                iterations: 60,
-                ..Default::default()
-            },
-            max_steps_per_input: 200_000,
-        };
-        let seeds = [vec![1, 2, 3]];
-        let gates = [PassGate::allow_all(), PassGate::disabling(["tree-sink"])];
-        let shared = hunt_variants(src, "process", &opts, &gates, &seeds, &config).unwrap();
-        for (gate, combined) in gates.iter().zip(&shared) {
-            let solo_opts = CompileOptions {
-                gate: gate.clone(),
-                ..opts.clone()
-            };
-            let solo = hunt(src, "process", &solo_opts, &seeds, &config).unwrap();
-            assert_eq!(solo.report.queue, combined.report.queue);
-            assert_eq!(solo.report.oracle_hits, combined.report.oracle_hits);
-            assert_eq!(solo.defect_inputs, combined.defect_inputs);
-        }
     }
 
     #[test]

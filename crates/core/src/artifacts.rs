@@ -6,24 +6,25 @@
 //! re-runs the whole optimization pipeline from source. The
 //! [`ArtifactStore`] keeps exactly one of each per program:
 //!
-//! * **program artifacts** ([`ProgramArtifacts`]) — the parsed
-//!   [`SourceAnalysis`], the lowered IR module, the `O0` object, and
-//!   the ground-truth baseline [`DebugTrace`] over the program's input
-//!   set, shared across personalities, levels, and `Ox-dy` configs
-//!   (the `O0` pipeline is empty for both personalities, so one `O0`
-//!   build serves both);
+//! * **program artifacts** ([`ProgramArtifacts`]) — the checker's
+//!   [`GroundTruth`] (parsed [`SourceAnalysis`], lowered IR module,
+//!   `O0` object and its breakpoint plan) plus the ground-truth
+//!   baseline [`DebugTrace`] over the program's input set, shared
+//!   across personalities, levels, and `Ox-dy` configs;
 //! * **compile sessions** ([`CompileSession`]) — one checkpointed
 //!   pipeline per program/personality/level, shared by the per-pass
 //!   variant fan-out and every gated configuration built afterwards.
 //!
-//! Entries are keyed by program name: like the tuner's evaluation
-//! cache, the store assumes one [`ProgramInput`] (source + inputs) per
-//! name and one step budget per store. Both lookups are safe under
-//! concurrent use; a lost race costs a redundant computation of a
-//! bit-identical value, never divergent results.
+//! Each [`crate::DebugTuner`] owns one store, the only memo layer
+//! below its evaluations. Entries are keyed by program name: like the
+//! tuner's evaluation cache, the store assumes one [`ProgramInput`]
+//! (source + inputs) per name and one step budget per store. Both
+//! lookups are safe under concurrent use; a lost race costs a redundant
+//! computation of a bit-identical value, never divergent results.
 
 use crate::eval::ProgramInput;
 use crate::telemetry::Telemetry;
+use dt_checker::GroundTruth;
 use dt_debugger::{BreakPlan, DebugTrace};
 use dt_machine::Object;
 use dt_minic::analysis::SourceAnalysis;
@@ -40,9 +41,8 @@ pub struct ProgramArtifacts {
     /// The lowered IR module (seeds compile sessions without
     /// re-lexing/re-parsing/re-lowering).
     pub module: dt_ir::Module,
-    /// The `O0` object. Personality-independent: the `O0` pipeline is
-    /// empty and the backend configuration is the default for both
-    /// personalities (pinned by a unit test below).
+    /// The `O0` object. Personality-independent (see [`GroundTruth`];
+    /// pinned by a unit test below).
     pub o0: Object,
     /// Precomputed breakpoint plan of the `O0` object, shared by every
     /// session that re-traces the baseline binary (ground-truth
@@ -55,8 +55,7 @@ pub struct ProgramArtifacts {
 }
 
 /// Shared store of program artifacts and checkpointed compile
-/// sessions. Owned by [`crate::DebugTuner`]; free-function entry
-/// points create a transient store per call.
+/// sessions, owned by [`crate::DebugTuner`].
 #[derive(Default)]
 pub struct ArtifactStore {
     programs: Mutex<HashMap<String, Arc<ProgramArtifacts>>>,
@@ -85,36 +84,32 @@ impl ArtifactStore {
             }
             return hit.clone();
         }
-        let parsed = dt_minic::compile_check(&program.source).expect("program is valid");
-        let analysis = SourceAnalysis::of(&parsed);
-        let module = dt_frontend::lower_source(&program.source).expect("program lowers");
-
         let build_start = Instant::now();
-        let o0 = dt_machine::run_backend(&module, &dt_machine::BackendConfig::default());
+        let gt = GroundTruth::new(&program.source).expect("program is valid");
         if let Some(t) = telemetry {
             t.record_build(build_start.elapsed());
         }
 
-        let session = dt_debugger::SessionConfig {
-            max_steps_per_input: max_steps,
-            entry_args: program.entry_args.clone(),
-            ground_truth: true,
-        };
-        let o0_plan = BreakPlan::new(&o0);
         let trace_start = Instant::now();
-        let (base_trace, trace_stats) = dt_debugger::trace_with_plan_stats(
-            &o0,
-            &program.harness,
-            &program.inputs,
-            &session,
-            &o0_plan,
-        )
-        .expect("baseline session");
+        let (base_trace, trace_stats) = gt
+            .trace(
+                &program.harness,
+                &program.inputs,
+                &program.entry_args,
+                max_steps,
+            )
+            .expect("baseline session");
         if let Some(t) = telemetry {
             t.record_trace(trace_start.elapsed());
             t.record_fast_trace(&trace_stats);
         }
 
+        let GroundTruth {
+            analysis,
+            module,
+            o0,
+            o0_plan,
+        } = gt;
         let art = Arc::new(ProgramArtifacts {
             analysis,
             module,

@@ -1,71 +1,40 @@
 //! The debug-information evaluation component (Section III-A).
 //!
-//! The four-stage workflow (builds, baseline trace, reference metrics,
-//! one variant per gateable pass) is embarrassingly parallel in its
-//! fourth stage: each variant's build + debug-trace session is
-//! independent. [`evaluate_program_parallel`] fans that stage out
-//! across worker threads, and a content-addressed cache (keyed by
-//! [`dt_machine::Object::content_hash`]) lets variants that produce
-//! identical binaries share a single trace/metric computation. Both
-//! paths produce bit-identical `ProgramEvaluation`s: workers write
-//! results into per-pass slots, so ordering and values never depend on
-//! scheduling.
+//! [`DebugTuner`] is the only evaluation engine. The workflow has four
+//! stages: (1) the program's shared artifacts (parsed analysis, the
+//! `O0` object, the single ground-truth baseline trace) from the
+//! tuner's [`crate::ArtifactStore`]; (2) the level's reference build
+//! and its debug trace; (3) the reference metrics and correctness
+//! summary; (4) one variant per gateable pass with that pass disabled.
+//! [`DebugTuner::evaluate_reference`] runs stages 1–3 only, and
+//! [`DebugTuner::evaluate`] all four.
 //!
-//! Compilation itself is staged: all variant builds of one
-//! program/personality/level go through a single checkpointed
-//! [`dt_passes::CompileSession`], so a variant disabling pass *p*
-//! resumes from the snapshot before *p*'s first occurrence instead of
-//! recompiling from source (bit-identical by construction — see
-//! `dt_passes::session`). Cross-config products (parsed analysis, the
-//! `O0` object, the single ground-truth baseline trace) live in the
-//! shared [`ArtifactStore`].
+//! The fourth stage is embarrassingly parallel: each variant's build +
+//! debug-trace session is independent, so it fans out across worker
+//! threads. Workers write results into per-pass slots, so ordering and
+//! values never depend on scheduling and every thread count produces
+//! a bit-identical `ProgramEvaluation`.
+//!
+//! Variant builds of one program/personality/level go through a single
+//! checkpointed [`dt_passes::CompileSession`], so a variant disabling
+//! pass *p* resumes from the snapshot before *p*'s first occurrence
+//! instead of recompiling from source (bit-identical by construction —
+//! see `dt_passes::session`).
 
-use crate::artifacts::ArtifactStore;
-use crate::telemetry::Telemetry;
+use crate::artifacts::ProgramArtifacts;
+use crate::{DebugTuner, TunerConfig};
 use dt_checker::DefectSummary;
+use dt_debugger::{BreakPlan, DebugTrace, SessionConfig};
+use dt_machine::Object;
 use dt_metrics::Metrics;
-use dt_minic::analysis::SourceAnalysis;
-use dt_passes::{pipeline_pass_names, OptLevel, PassGate, Personality};
+use dt_passes::{
+    pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate, Personality,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Shared map from object content hash to variant metrics plus the
-/// correctness-oracle summary, scoped by a program/personality/level
-/// key so entries are only reused where the baseline trace and input
-/// set are the same.
-pub(crate) type TraceCache = Mutex<HashMap<(String, u64), (Metrics, DefectSummary)>>;
-
-/// Execution context for one evaluation: worker count plus optional
-/// shared telemetry and trace cache (both owned by [`crate::DebugTuner`]
-/// when driven through the tuner).
-pub(crate) struct EvalCtx<'a> {
-    pub threads: usize,
-    pub telemetry: Option<&'a Telemetry>,
-    pub trace_cache: Option<&'a TraceCache>,
-    /// Shared program-artifact + compile-session store. `None` makes
-    /// the evaluation build a transient store (no cross-call sharing).
-    pub artifacts: Option<&'a ArtifactStore>,
-}
-
-impl EvalCtx<'_> {
-    fn serial() -> EvalCtx<'static> {
-        EvalCtx {
-            threads: 1,
-            telemetry: None,
-            trace_cache: None,
-            artifacts: None,
-        }
-    }
-
-    fn with_telemetry<F: FnOnce(&Telemetry)>(&self, f: F) {
-        if let Some(t) = self.telemetry {
-            f(t);
-        }
-    }
-}
 
 /// A program plus the inputs driving its debug sessions.
 #[derive(Debug, Clone)]
@@ -154,45 +123,20 @@ pub struct ProgramEvaluation {
     pub reference_defects: DefectSummary,
 }
 
-/// Computes the hybrid metrics of an object against a baseline trace.
-/// Sessions take the fast path (in-VM breakpoint bitmap on a
-/// per-object [`dt_debugger::BreakPlan`], early-exit inputs) — bit-
-/// identical to the slow-step reference engine by construction, so
-/// metrics and rankings are unchanged.
-fn metrics_for(
-    obj: &dt_machine::Object,
-    harness: &str,
-    inputs: &[Vec<u8>],
-    entry_args: &[i64],
-    base: &dt_debugger::DebugTrace,
-    analysis: &SourceAnalysis,
-    max_steps: u64,
-) -> (Metrics, dt_debugger::DebugTrace, dt_debugger::TraceStats) {
-    let session = dt_debugger::SessionConfig {
-        max_steps_per_input: max_steps,
-        entry_args: entry_args.to_vec(),
-        ground_truth: false,
-    };
-    let plan = dt_debugger::BreakPlan::new(obj);
-    let (trace, stats) = dt_debugger::trace_with_plan_stats(obj, harness, inputs, &session, &plan)
-        .expect("debug session runs");
-    let m = dt_metrics::hybrid(&trace, base, analysis);
-    (m, trace, stats)
-}
-
-/// Runs the four-stage evaluation workflow for one program, serially.
+/// Runs the four-stage evaluation workflow for one program, serially,
+/// on a fresh [`DebugTuner`].
 pub fn evaluate_program(
     program: &ProgramInput,
     personality: Personality,
     level: OptLevel,
     max_steps: u64,
 ) -> ProgramEvaluation {
-    evaluate_program_ctx(program, personality, level, max_steps, &EvalCtx::serial())
+    evaluate_program_parallel(program, personality, level, max_steps, 1)
 }
 
-/// Runs the four-stage evaluation workflow with the per-pass variant
-/// stage fanned out across `threads` workers. Bit-identical to
-/// [`evaluate_program`] for any thread count.
+/// Runs the four-stage evaluation workflow on a fresh [`DebugTuner`]
+/// with the per-pass variant stage fanned out across `threads`
+/// workers. Bit-identical to [`evaluate_program`] for any thread count.
 pub fn evaluate_program_parallel(
     program: &ProgramInput,
     personality: Personality,
@@ -200,147 +144,189 @@ pub fn evaluate_program_parallel(
     max_steps: u64,
     threads: usize,
 ) -> ProgramEvaluation {
-    let ctx = EvalCtx {
+    DebugTuner::new(TunerConfig {
+        max_steps_per_input: max_steps,
         threads,
-        telemetry: None,
-        trace_cache: None,
-        artifacts: None,
-    };
-    evaluate_program_ctx(program, personality, level, max_steps, &ctx)
+    })
+    .evaluate(program, personality, level)
 }
 
-/// The shared implementation behind the serial and parallel entry
-/// points and [`crate::DebugTuner::evaluate`].
-pub(crate) fn evaluate_program_ctx(
-    program: &ProgramInput,
-    personality: Personality,
-    level: OptLevel,
-    max_steps: u64,
-    ctx: &EvalCtx<'_>,
-) -> ProgramEvaluation {
-    let wall_start = Instant::now();
-    ctx.with_telemetry(|t| t.record_program());
-    let transient_store;
-    let store = match ctx.artifacts {
-        Some(s) => s,
-        None => {
-            transient_store = ArtifactStore::new();
-            &transient_store
-        }
-    };
+fn eval_key(program: &ProgramInput, personality: Personality, level: OptLevel) -> String {
+    format!("{}|{personality}|{level}", program.name)
+}
 
-    // Stage 1: shared artifacts (parsed analysis, O0 object, the
-    // single ground-truth baseline trace — reused across
-    // personalities, levels, and configs) plus this level's
-    // checkpointed compile session, from which the reference build
-    // reuses the fully optimized module. The ground-truth baseline
-    // records shadow values from the VM so the correctness oracle can
-    // diff variant traces against source semantics; variable
-    // *visibility* stays loclist-based, so the availability metrics
-    // are untouched.
-    let art = store.program_artifacts(program, max_steps, ctx.telemetry);
-    let analysis = &art.analysis;
-    let o0 = &art.o0;
-    let base_trace = &art.base_trace;
-    let session = store.session_for(&program.name, &art, personality, level, ctx.telemetry);
-    let build_start = Instant::now();
-    let reference_obj = session.reference_object();
-    ctx.with_telemetry(|t| t.record_build(build_start.elapsed()));
+impl DebugTuner {
+    /// Evaluates one program at one personality/level (cached), fanning
+    /// the per-pass variant builds and trace sessions out across
+    /// `config.threads` workers.
+    pub fn evaluate(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+    ) -> ProgramEvaluation {
+        self.evaluate_with_threads(program, personality, level, self.config.threads)
+    }
 
-    // Stage 2+3: reference trace and metrics (source-refined by the
-    // hybrid metric itself).
-    let trace_start = Instant::now();
-    let (reference, ref_trace, ref_stats) = metrics_for(
-        &reference_obj,
-        &program.harness,
-        &program.inputs,
-        &program.entry_args,
-        base_trace,
-        analysis,
-        max_steps,
-    );
-    ctx.with_telemetry(|t| {
-        t.record_trace(trace_start.elapsed());
-        t.record_fast_trace(&ref_stats);
-    });
-    let methods = dt_metrics::all_methods(&reference_obj.debug, &ref_trace, base_trace, analysis);
-    let reference_defects = dt_checker::check(&ref_trace, base_trace, analysis).summary;
-
-    // Stage 4: one variant per gateable pass, with `.text` pruning and
-    // content-addressed sharing of trace/metric work. Each pass gets a
-    // dedicated result slot, so the output order (and every value in
-    // it) is independent of worker scheduling.
-    let passes = pipeline_pass_names(personality, level);
-    let cache_scope = format!("{}|{personality}|{level}", program.name);
-    let variant_effect = |pass: &str| -> PassEffect {
-        let build_start = Instant::now();
-        let built = session.build_variant(&PassGate::disabling([pass]));
-        ctx.with_telemetry(|t| {
-            t.record_build(build_start.elapsed());
-            t.record_variant_resume(built.prefix_skipped as u64);
-        });
-        let variant = built.object;
-        if variant.text_eq(&reference_obj) {
-            ctx.with_telemetry(|t| t.record_pruned_variant());
-            return PassEffect {
-                pass: pass.to_string(),
-                metrics: None,
-                relative_increment: 0.0,
-                defects: None,
-                defect_delta: 0.0,
+    /// Stages 1–3 only: the reference build of one program at one
+    /// personality/level, its metrics, method comparison and
+    /// correctness summary. `effects` is always empty.
+    ///
+    /// Served from the evaluation cache when [`DebugTuner::evaluate`]
+    /// already ran for the key. Otherwise the reference is a plain
+    /// compile of the shared lowered module: no checkpointed session
+    /// is built or retained, since no variant will resume from it.
+    pub fn evaluate_reference(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+    ) -> ProgramEvaluation {
+        if let Some(hit) = self
+            .cache
+            .lock()
+            .get(&eval_key(program, personality, level))
+        {
+            self.telemetry.record_eval_cache_hit();
+            return ProgramEvaluation {
+                effects: Vec::new(),
+                ..hit.clone()
             };
         }
-        let cache_key = ctx
-            .trace_cache
-            .map(|_| (cache_scope.clone(), variant.content_hash()));
-        let cached = cache_key.as_ref().and_then(|k| {
-            let hit = ctx.trace_cache.unwrap().lock().get(k).copied();
-            if hit.is_some() {
-                ctx.with_telemetry(|t| t.record_trace_cache_hit());
-            }
-            hit
+        let wall_start = Instant::now();
+        let (_, _, eval) = self.reference_stage(program, |art| {
+            self.timed_build(|| {
+                dt_passes::compile(&art.module, &CompileOptions::new(personality, level))
+            })
         });
-        let (m, defects) = cached.unwrap_or_else(|| {
-            let trace_start = Instant::now();
-            let (m, variant_trace, variant_stats) = metrics_for(
-                &variant,
-                &program.harness,
-                &program.inputs,
-                &program.entry_args,
-                base_trace,
-                analysis,
-                max_steps,
-            );
-            let defects = dt_checker::check(&variant_trace, base_trace, analysis).summary;
-            ctx.with_telemetry(|t| {
-                t.record_trace(trace_start.elapsed());
-                t.record_fast_trace(&variant_stats);
-            });
-            if let Some(k) = cache_key {
-                ctx.trace_cache.unwrap().lock().insert(k, (m, defects));
-            }
-            (m, defects)
-        });
-        let rel = if reference.product > 0.0 {
-            (m.product - reference.product) / reference.product
-        } else if m.product > 0.0 {
-            1.0
-        } else {
-            0.0
-        };
-        PassEffect {
-            pass: pass.to_string(),
-            metrics: Some(m),
-            relative_increment: rel,
-            defects: Some(defects),
-            defect_delta: defects.rate() - reference_defects.rate(),
-        }
-    };
+        self.telemetry.record_wall(wall_start.elapsed());
+        eval
+    }
 
-    let workers = ctx.threads.max(1).min(passes.len().max(1));
-    let effects: Vec<PassEffect> = if workers <= 1 {
-        passes.iter().map(|pass| variant_effect(pass)).collect()
-    } else {
+    /// [`DebugTuner::evaluate`] with an explicit variant fan-out width.
+    pub(crate) fn evaluate_with_threads(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+        threads: usize,
+    ) -> ProgramEvaluation {
+        let key = eval_key(program, personality, level);
+        if let Some(hit) = self.cache.lock().get(&key) {
+            self.telemetry.record_eval_cache_hit();
+            return hit.clone();
+        }
+        let wall_start = Instant::now();
+        // The reference comes from the level's checkpointed session,
+        // which the variant stage then resumes from.
+        let mut session = None;
+        let (art, reference_obj, mut eval) = self.reference_stage(program, |art| {
+            let s = self.artifacts.session_for(
+                &program.name,
+                art,
+                personality,
+                level,
+                Some(&self.telemetry),
+            );
+            let obj = self.timed_build(|| s.reference_object());
+            session = Some(s);
+            obj
+        });
+        let session = session.expect("reference stage opened the session");
+        eval.effects =
+            self.variant_effects(program, &art, &session, &reference_obj, &eval, threads);
+        self.telemetry.record_wall(wall_start.elapsed());
+        self.cache.lock().insert(key, eval.clone());
+        eval
+    }
+
+    /// Stages 1–3, shared by [`DebugTuner::evaluate`] and
+    /// [`DebugTuner::evaluate_reference`]: the program's shared
+    /// artifacts, the reference object from `build_reference`, its
+    /// trace, metrics and correctness summary. Returns the evaluation
+    /// with empty `effects`.
+    fn reference_stage(
+        &self,
+        program: &ProgramInput,
+        build_reference: impl FnOnce(&ProgramArtifacts) -> Object,
+    ) -> (Arc<ProgramArtifacts>, Object, ProgramEvaluation) {
+        self.telemetry.record_program();
+        let art = self.artifacts.program_artifacts(
+            program,
+            self.config.max_steps_per_input,
+            Some(&self.telemetry),
+        );
+        let reference_obj = build_reference(&art);
+        let (reference, ref_trace) = self.score(program, &art, &reference_obj);
+        let methods = dt_metrics::all_methods(
+            &reference_obj.debug,
+            &ref_trace,
+            &art.base_trace,
+            &art.analysis,
+        );
+        let reference_defects =
+            dt_checker::check(&ref_trace, &art.base_trace, &art.analysis).summary;
+        let eval = ProgramEvaluation {
+            program: program.name.clone(),
+            reference,
+            methods,
+            effects: Vec::new(),
+            steppable_lines_o0: art.o0.debug.steppable_lines().len(),
+            stepped_lines_o0: art.base_trace.stepped_lines().len(),
+            reference_defects,
+        };
+        (art, reference_obj, eval)
+    }
+
+    /// Stage 4: one variant per gateable pass, with `.text` pruning.
+    /// Each pass gets a dedicated result slot, so the output order (and
+    /// every value in it) is independent of worker scheduling.
+    fn variant_effects(
+        &self,
+        program: &ProgramInput,
+        art: &ProgramArtifacts,
+        session: &CompileSession,
+        reference_obj: &Object,
+        reference_eval: &ProgramEvaluation,
+        threads: usize,
+    ) -> Vec<PassEffect> {
+        let reference = &reference_eval.reference;
+        let reference_defects = reference_eval.reference_defects;
+        let passes = pipeline_pass_names(session.personality(), session.level());
+        let variant_effect = |pass: &str| -> PassEffect {
+            let variant = self.build_variant(session, &PassGate::disabling([pass]));
+            if variant.text_eq(reference_obj) {
+                self.telemetry.record_pruned_variant();
+                return PassEffect {
+                    pass: pass.to_string(),
+                    metrics: None,
+                    relative_increment: 0.0,
+                    defects: None,
+                    defect_delta: 0.0,
+                };
+            }
+            let (m, variant_trace) = self.score(program, art, &variant);
+            let defects = dt_checker::check(&variant_trace, &art.base_trace, &art.analysis).summary;
+            let rel = if reference.product > 0.0 {
+                (m.product - reference.product) / reference.product
+            } else if m.product > 0.0 {
+                1.0
+            } else {
+                0.0
+            };
+            PassEffect {
+                pass: pass.to_string(),
+                metrics: Some(m),
+                relative_increment: rel,
+                defects: Some(defects),
+                defect_delta: defects.rate() - reference_defects.rate(),
+            }
+        };
+
+        let workers = threads.max(1).min(passes.len().max(1));
+        if workers <= 1 {
+            return passes.iter().map(|pass| variant_effect(pass)).collect();
+        }
         let slots: Vec<Mutex<Option<PassEffect>>> =
             passes.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -360,74 +346,80 @@ pub(crate) fn evaluate_program_ctx(
             .into_iter()
             .map(|s| s.into_inner().expect("all variants evaluated"))
             .collect()
-    };
-
-    ctx.with_telemetry(|t| t.record_wall(wall_start.elapsed()));
-    ProgramEvaluation {
-        program: program.name.clone(),
-        reference,
-        methods,
-        effects,
-        steppable_lines_o0: o0.debug.steppable_lines().len(),
-        stepped_lines_o0: base_trace.stepped_lines().len(),
-        reference_defects,
     }
-}
 
-/// Evaluates one explicit configuration (level + gate) for a program,
-/// returning the hybrid metrics (used for `Ox-dy` measurements).
-///
-/// Builds through a transient [`ArtifactStore`]; prefer
-/// [`crate::DebugTuner::evaluate_config`] when measuring several
-/// configurations of the same program, which shares the baseline
-/// artifacts and the checkpointed compile session across calls.
-pub fn evaluate_config(
-    program: &ProgramInput,
-    personality: Personality,
-    level: OptLevel,
-    gate: &PassGate,
-    max_steps: u64,
-) -> Metrics {
-    let store = ArtifactStore::new();
-    evaluate_config_with(&store, program, personality, level, gate, max_steps, None)
-}
+    /// Evaluates one explicit configuration (level + gate) of a program
+    /// through the tuner's shared artifact store, returning the hybrid
+    /// metrics (used for `Ox-dy` measurements): the baseline trace,
+    /// `O0` object, and checkpointed compile session are reused across
+    /// calls (and with [`DebugTuner::evaluate`] runs of the same
+    /// program), and the gated build resumes from a mid-pipeline
+    /// snapshot instead of recompiling from source.
+    pub fn evaluate_config(
+        &self,
+        program: &ProgramInput,
+        personality: Personality,
+        level: OptLevel,
+        gate: &PassGate,
+    ) -> Metrics {
+        let t = Some(&self.telemetry);
+        let art = self
+            .artifacts
+            .program_artifacts(program, self.config.max_steps_per_input, t);
+        let session = self
+            .artifacts
+            .session_for(&program.name, &art, personality, level, t);
+        let obj = self.build_variant(&session, gate);
+        self.score(program, &art, &obj).0
+    }
 
-/// [`evaluate_config`] against an explicit shared store: the program's
-/// artifacts (analysis + `O0` + the single ground-truth baseline
-/// trace) and the personality/level compile session are reused across
-/// calls, and the gated build resumes from a mid-pipeline checkpoint.
-pub(crate) fn evaluate_config_with(
-    store: &ArtifactStore,
-    program: &ProgramInput,
-    personality: Personality,
-    level: OptLevel,
-    gate: &PassGate,
-    max_steps: u64,
-    telemetry: Option<&Telemetry>,
-) -> Metrics {
-    let art = store.program_artifacts(program, max_steps, telemetry);
-    let session = store.session_for(&program.name, &art, personality, level, telemetry);
-    let build_start = Instant::now();
-    let built = session.build_variant(gate);
-    if let Some(t) = telemetry {
-        t.record_build(build_start.elapsed());
-        t.record_variant_resume(built.prefix_skipped as u64);
+    fn timed_build(&self, build: impl FnOnce() -> Object) -> Object {
+        let start = Instant::now();
+        let obj = build();
+        self.telemetry.record_build(start.elapsed());
+        obj
     }
-    let trace_start = Instant::now();
-    let (m, _, stats) = metrics_for(
-        &built.object,
-        &program.harness,
-        &program.inputs,
-        &program.entry_args,
-        &art.base_trace,
-        &art.analysis,
-        max_steps,
-    );
-    if let Some(t) = telemetry {
-        t.record_trace(trace_start.elapsed());
-        t.record_fast_trace(&stats);
+
+    /// One gated build through `session`, resuming from a checkpoint.
+    fn build_variant(&self, session: &CompileSession, gate: &PassGate) -> Object {
+        let start = Instant::now();
+        let built = session.build_variant(gate);
+        self.telemetry.record_build(start.elapsed());
+        self.telemetry
+            .record_variant_resume(built.prefix_skipped as u64);
+        built.object
     }
-    m
+
+    /// Traces `obj` over the program's inputs and computes its hybrid
+    /// metrics against the ground-truth baseline. Sessions take the
+    /// fast path (in-VM breakpoint bitmap on a per-object
+    /// [`BreakPlan`], early-exit inputs) — bit-identical to the
+    /// slow-step reference engine by construction.
+    fn score(
+        &self,
+        program: &ProgramInput,
+        art: &ProgramArtifacts,
+        obj: &Object,
+    ) -> (Metrics, DebugTrace) {
+        let start = Instant::now();
+        let session = SessionConfig {
+            max_steps_per_input: self.config.max_steps_per_input,
+            entry_args: program.entry_args.clone(),
+            ground_truth: false,
+        };
+        let (trace, stats) = dt_debugger::trace_with_plan_stats(
+            obj,
+            &program.harness,
+            &program.inputs,
+            &session,
+            &BreakPlan::new(obj),
+        )
+        .expect("debug session runs");
+        let m = dt_metrics::hybrid(&trace, &art.base_trace, &art.analysis);
+        self.telemetry.record_trace(start.elapsed());
+        self.telemetry.record_fast_trace(&stats);
+        (m, trace)
+    }
 }
 
 #[cfg(test)]
@@ -503,17 +495,27 @@ int fuzz_main() {
         );
     }
 
+    /// The reference-only path (a plain compile on a fresh tuner)
+    /// agrees field for field with the full evaluation, except for the
+    /// variant effects it never computes.
     #[test]
-    fn evaluate_config_matches_reference_for_empty_gate() {
+    fn evaluate_reference_matches_evaluate_without_effects() {
         let p = program();
-        let eval = evaluate_program(&p, Personality::Clang, OptLevel::O2, 1_000_000);
-        let m = evaluate_config(
-            &p,
-            Personality::Clang,
-            OptLevel::O2,
-            &PassGate::allow_all(),
-            1_000_000,
-        );
-        assert!((m.product - eval.reference.product).abs() < 1e-12);
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let reference = DebugTuner::default().evaluate_reference(&p, personality, level);
+                assert!(reference.effects.is_empty());
+                let full = DebugTuner::default().evaluate(&p, personality, level);
+                let full = ProgramEvaluation {
+                    effects: Vec::new(),
+                    ..full
+                };
+                assert_eq!(
+                    serde_json::to_value(&reference).unwrap(),
+                    serde_json::to_value(&full).unwrap(),
+                    "{personality} {level}"
+                );
+            }
+        }
     }
 }

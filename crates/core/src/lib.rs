@@ -49,7 +49,7 @@ pub use perf::{measure_speedup, PerfReport};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::{EvalStats, Telemetry};
 
-use dt_passes::{OptLevel, PassGate, Personality};
+use dt_passes::{OptLevel, Personality};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -73,14 +73,14 @@ impl Default for TunerConfig {
     }
 }
 
-/// The DebugTuner framework instance: caches evaluations so that the
-/// experiment binaries can share work across tables, shares one
-/// content-addressed trace cache across all variant builds, and keeps
-/// live telemetry of the work performed vs avoided.
+/// The DebugTuner framework instance and the only evaluation engine
+/// (see [`eval`]): caches whole evaluations so that the experiment
+/// binaries can share work across tables, keeps one
+/// [`ArtifactStore`] as the memo layer below every evaluation, and
+/// keeps live telemetry of the work performed vs avoided.
 pub struct DebugTuner {
     pub config: TunerConfig,
     cache: Mutex<HashMap<String, ProgramEvaluation>>,
-    trace_cache: eval::TraceCache,
     /// Shared per-program artifacts (analysis, `O0`, the ground-truth
     /// baseline trace) and checkpointed compile sessions, reused across
     /// every evaluation and configuration measurement of this tuner.
@@ -94,7 +94,6 @@ impl DebugTuner {
         DebugTuner {
             config,
             cache: Mutex::new(HashMap::new()),
-            trace_cache: Mutex::new(HashMap::new()),
             artifacts: ArtifactStore::new(),
             telemetry: Telemetry::default(),
         }
@@ -109,71 +108,6 @@ impl DebugTuner {
     /// Resets the telemetry counters (the evaluation caches survive).
     pub fn reset_stats(&self) {
         self.telemetry.reset();
-    }
-
-    /// Evaluates one program at one personality/level (cached), fanning
-    /// the per-pass variant builds and trace sessions out across
-    /// `config.threads` workers.
-    pub fn evaluate(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-    ) -> ProgramEvaluation {
-        self.evaluate_with_threads(program, personality, level, self.config.threads)
-    }
-
-    fn evaluate_with_threads(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-        threads: usize,
-    ) -> ProgramEvaluation {
-        let key = format!("{}|{personality}|{level}", program.name);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            self.telemetry.record_eval_cache_hit();
-            return hit.clone();
-        }
-        let ctx = eval::EvalCtx {
-            threads,
-            telemetry: Some(&self.telemetry),
-            trace_cache: Some(&self.trace_cache),
-            artifacts: Some(&self.artifacts),
-        };
-        let eval = eval::evaluate_program_ctx(
-            program,
-            personality,
-            level,
-            self.config.max_steps_per_input,
-            &ctx,
-        );
-        self.cache.lock().insert(key, eval.clone());
-        eval
-    }
-
-    /// Evaluates one explicit configuration (level + gate) of a program
-    /// through the tuner's shared artifact store: the baseline trace,
-    /// `O0` object, and checkpointed compile session are reused across
-    /// calls (and with [`DebugTuner::evaluate`] runs of the same
-    /// program), and the gated build resumes from a mid-pipeline
-    /// snapshot instead of recompiling from source.
-    pub fn evaluate_config(
-        &self,
-        program: &ProgramInput,
-        personality: Personality,
-        level: OptLevel,
-        gate: &PassGate,
-    ) -> dt_metrics::Metrics {
-        eval::evaluate_config_with(
-            &self.artifacts,
-            program,
-            personality,
-            level,
-            gate,
-            self.config.max_steps_per_input,
-            Some(&self.telemetry),
-        )
     }
 
     /// Evaluates the whole suite in parallel and aggregates the pass
@@ -277,6 +211,13 @@ int fuzz_main() {
         let a = tuner.evaluate(&p, Personality::Gcc, OptLevel::O1);
         let b = tuner.evaluate(&p, Personality::Gcc, OptLevel::O1);
         assert_eq!(a.reference.product, b.reference.product);
+        // The reference-only path is served from the same cache.
+        let r = tuner.evaluate_reference(&p, Personality::Gcc, OptLevel::O1);
+        assert_eq!(r.reference.product, a.reference.product);
+        assert!(r.effects.is_empty());
+        let stats = tuner.stats();
+        assert_eq!(stats.eval_cache_hits, 2);
+        assert_eq!(stats.programs, 1);
     }
 
     /// The staged-session acceptance criteria: evaluation resumes
@@ -302,7 +243,12 @@ int fuzz_main() {
         assert!(tuner.stats().artifact_hits >= 1);
         // The explicit-config path shares the same session + baseline,
         // so an empty gate reproduces the reference metrics exactly.
-        let m = tuner.evaluate_config(&p, Personality::Gcc, OptLevel::O2, &PassGate::allow_all());
+        let m = tuner.evaluate_config(
+            &p,
+            Personality::Gcc,
+            OptLevel::O2,
+            &dt_passes::PassGate::allow_all(),
+        );
         assert_eq!(m.product, eval.reference.product);
     }
 

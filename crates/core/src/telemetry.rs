@@ -3,8 +3,8 @@
 //! snapshot the experiment binaries print.
 //!
 //! The counters separate *work performed* (builds, debug-trace
-//! sessions) from *work avoided* (`.text` pruning, content-addressed
-//! trace-cache hits, whole-evaluation cache hits), plus per-stage
+//! sessions) from *work avoided* (`.text` pruning, checkpoint resume,
+//! artifact-store and whole-evaluation cache hits), plus per-stage
 //! wall-clock totals summed across workers.
 
 use serde::{Deserialize, Serialize};
@@ -17,7 +17,6 @@ pub struct Telemetry {
     programs: AtomicU64,
     builds: AtomicU64,
     traces: AtomicU64,
-    trace_cache_hits: AtomicU64,
     eval_cache_hits: AtomicU64,
     pruned_variants: AtomicU64,
     sessions: AtomicU64,
@@ -49,10 +48,6 @@ impl Telemetry {
         self.traces.fetch_add(1, Ordering::Relaxed);
         self.trace_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_trace_cache_hit(&self) {
-        self.trace_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_eval_cache_hit(&self) {
@@ -120,7 +115,7 @@ impl Telemetry {
             programs: self.programs.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
             traces: self.traces.load(Ordering::Relaxed),
-            trace_cache_hits: self.trace_cache_hits.load(Ordering::Relaxed),
+            trace_cache_hits: 0,
             eval_cache_hits: self.eval_cache_hits.load(Ordering::Relaxed),
             pruned_variants: self.pruned_variants.load(Ordering::Relaxed),
             sessions: self.sessions.load(Ordering::Relaxed),
@@ -143,7 +138,6 @@ impl Telemetry {
             &self.programs,
             &self.builds,
             &self.traces,
-            &self.trace_cache_hits,
             &self.eval_cache_hits,
             &self.pruned_variants,
             &self.sessions,
@@ -179,8 +173,9 @@ pub struct EvalStats {
     pub builds: u64,
     /// Debug-trace sessions actually run.
     pub traces: u64,
-    /// Variant trace/metric computations shared via the
-    /// content-addressed cache.
+    /// Always 0. Kept so that stats JSON keeps its shape: it counted
+    /// hits of a content-addressed variant trace cache, since removed
+    /// for its near-zero hit rate.
     pub trace_cache_hits: u64,
     /// Whole-`ProgramEvaluation` cache hits.
     pub eval_cache_hits: u64,
@@ -231,7 +226,7 @@ impl EvalStats {
     pub fn summary(&self) -> String {
         format!(
             "eval stats: {} program(s), {} build(s) ({:.0} ms), {} trace(s) ({:.0} ms), \
-             {} trace-cache hit(s), {} eval-cache hit(s), {} pruned variant(s), \
+             {} eval-cache hit(s), {} pruned variant(s), \
              {} session(s) ({} snapshot(s)), {} resumed variant(s) skipping {} prefix pass(es), \
              {} artifact-store hit(s), {} fast step(s) / {} break stop(s) / \
              {} abandoned input(s), {:.0} ms wall on {} thread(s)",
@@ -240,7 +235,6 @@ impl EvalStats {
             self.build_ms,
             self.traces,
             self.trace_ms,
-            self.trace_cache_hits,
             self.eval_cache_hits,
             self.pruned_variants,
             self.sessions,
@@ -273,13 +267,12 @@ mod tests {
         t.record_build(Duration::from_millis(2));
         t.record_build(Duration::from_millis(3));
         t.record_trace(Duration::from_millis(5));
-        t.record_trace_cache_hit();
         t.record_pruned_variant();
         let s = t.snapshot(4);
         assert_eq!(s.programs, 1);
         assert_eq!(s.builds, 2);
         assert_eq!(s.traces, 1);
-        assert_eq!(s.trace_cache_hits, 1);
+        assert_eq!(s.trace_cache_hits, 0);
         assert_eq!(s.pruned_variants, 1);
         assert_eq!(s.threads, 4);
         assert!(s.build_ms >= 5.0 - 1e-9);

@@ -71,14 +71,14 @@ fn stepped_lines(
         entry_args: entry_args.to_vec(),
         ..Default::default()
     };
-    dt_debugger::trace_with_plan(
+    dt_debugger::trace_with_plan_stats(
         obj,
         entry,
         std::slice::from_ref(&input.to_vec()),
         &cfg,
         plan,
     )
-    .map(|t| t.stepped_lines())
+    .map(|(t, _)| t.stepped_lines())
     .unwrap_or_default()
 }
 

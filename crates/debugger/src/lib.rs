@@ -16,7 +16,7 @@
 //! * [`trace`] — the slow-step reference: drives the VM one [`Vm::step`]
 //!   at a time and probes a hash map per instruction. Kept as the
 //!   differential baseline the fast path is tested against.
-//! * [`trace_fast`] / [`trace_with_plan`] — the production fast path:
+//! * [`trace_with_plan_stats`] — the production fast path:
 //!   breakpoint detection happens *inside* the VM
 //!   ([`Vm::run_until_break`]) against a dense bitmap over instruction
 //!   indices, precomputed once per object as a [`BreakPlan`]. Control
@@ -369,7 +369,7 @@ fn vm_config_for(config: &SessionConfig) -> VmConfig {
 ///
 /// This is the **slow-step reference engine**: it drives the VM one
 /// [`Vm::step`] at a time and probes a per-instruction hash map.
-/// Production paths use [`trace_fast`]/[`trace_with_plan`], which are
+/// Production paths use [`trace_with_plan_stats`], which is
 /// differentially tested to produce bit-identical traces.
 pub fn trace(
     obj: &Object,
@@ -430,30 +430,10 @@ pub fn trace(
 }
 
 /// Fast-path session: [`trace`] semantics with in-VM breakpoint
-/// detection on a [`BreakPlan`] built inline. Prefer
-/// [`trace_with_plan`] when tracing the same object repeatedly.
-pub fn trace_fast(
-    obj: &Object,
-    entry: &str,
-    inputs: &[Vec<u8>],
-    config: &SessionConfig,
-) -> Result<DebugTrace, String> {
-    trace_with_plan(obj, entry, inputs, config, &BreakPlan::new(obj))
-}
-
-/// Fast-path session against a precomputed plan (`plan` must have been
-/// built from `obj`). Bit-identical to [`trace`] by construction.
-pub fn trace_with_plan(
-    obj: &Object,
-    entry: &str,
-    inputs: &[Vec<u8>],
-    config: &SessionConfig,
-    plan: &BreakPlan,
-) -> Result<DebugTrace, String> {
-    trace_with_plan_stats(obj, entry, inputs, config, plan).map(|(t, _)| t)
-}
-
-/// [`trace_with_plan`] returning the session's [`TraceStats`].
+/// detection against a precomputed plan (`plan` must have been built
+/// from `obj`; build it once when tracing the same object repeatedly).
+/// Bit-identical to [`trace`] by construction; also returns the
+/// session's [`TraceStats`].
 pub fn trace_with_plan_stats(
     obj: &Object,
     entry: &str,
@@ -787,7 +767,8 @@ int main() {
                 ..SessionConfig::default()
             };
             let slow = trace(&obj, "main", &inputs, &cfg).unwrap();
-            let fast = trace_fast(&obj, "main", &inputs, &cfg).unwrap();
+            let (fast, _) =
+                trace_with_plan_stats(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj)).unwrap();
             assert_eq!(slow, fast, "ground_truth={ground_truth}");
         }
     }
@@ -798,9 +779,9 @@ int main() {
         let plan = BreakPlan::new(&obj);
         let cfg = SessionConfig::default();
         for inputs in [vec![vec![50]], vec![vec![1], vec![60]], vec![]] {
-            let fast = trace_fast(&obj, "main", &inputs, &cfg).unwrap();
-            let reused = trace_with_plan(&obj, "main", &inputs, &cfg, &plan).unwrap();
-            assert_eq!(fast, reused);
+            let fresh = trace_with_plan_stats(&obj, "main", &inputs, &cfg, &BreakPlan::new(&obj));
+            let reused = trace_with_plan_stats(&obj, "main", &inputs, &cfg, &plan);
+            assert_eq!(fresh.unwrap(), reused.unwrap());
         }
     }
 

@@ -1,5 +1,6 @@
 //! Table I: measurement-method comparison on synthetic programs.
 fn main() -> std::io::Result<()> {
-    experiments::emit("table01_methods", &experiments::table01_methods())?;
+    let tuner = experiments::make_tuner();
+    experiments::emit("table01_methods", &experiments::table01_methods(&tuner))?;
     Ok(())
 }

@@ -1,5 +1,10 @@
 //! Table II: debug information quality on libpng.
 fn main() -> std::io::Result<()> {
-    experiments::emit("table02_libpng", &experiments::table02_libpng())?;
+    let tuner = experiments::make_tuner();
+    let programs = experiments::suite_inputs();
+    experiments::emit(
+        "table02_libpng",
+        &experiments::table02_libpng(&tuner, &programs),
+    )?;
     Ok(())
 }

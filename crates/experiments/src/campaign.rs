@@ -148,14 +148,7 @@ pub fn build_campaign() -> Campaign {
         },
     );
 
-    // ---- Standalone tables -----------------------------------------
-    c.output("table01_methods", &[], synth_key, |_| Ok(table01_methods()));
-    c.output("table02_libpng", &[], corpus_key, |_| Ok(table02_libpng()));
-    c.output("table03_testsuite", &[], corpus_key, |_| {
-        Ok(table03_testsuite())
-    });
-
-    // ---- Tuner-backed tables ---------------------------------------
+    // ---- Tables I-VII (all but table03 read the shared tuner) ------
     let on_suite = |f: fn(&DebugTuner, &[ProgramInput]) -> String| {
         move |ctx: &dt_campaign::Ctx| {
             let tuner = ctx.value::<DebugTuner>("tuner");
@@ -163,6 +156,18 @@ pub fn build_campaign() -> Campaign {
             Ok(f(&tuner, &programs))
         }
     };
+    c.output("table01_methods", &["tuner"], synth_key, |ctx| {
+        Ok(table01_methods(&ctx.value::<DebugTuner>("tuner")))
+    });
+    c.output(
+        "table02_libpng",
+        &["tuner", "suite_inputs"],
+        0,
+        on_suite(table02_libpng),
+    );
+    c.output("table03_testsuite", &[], corpus_key, |_| {
+        Ok(table03_testsuite())
+    });
     c.output(
         "table04_quality",
         &["tuner", "suite_inputs"],
@@ -260,10 +265,12 @@ pub fn build_campaign() -> Campaign {
     );
 
     // ---- Correctness -----------------------------------------------
-    c.output("table16_correctness", &["suite_inputs"], 0, |ctx| {
-        let programs = ctx.value::<Vec<ProgramInput>>("suite_inputs");
-        Ok(table16_correctness(&programs))
-    });
+    c.output(
+        "table16_correctness",
+        &["tuner", "suite_inputs"],
+        0,
+        on_suite(table16_correctness),
+    );
 
     c
 }
@@ -317,7 +324,7 @@ mod tests {
         );
         assert_eq!(
             c.deps("table16_correctness").unwrap(),
-            ["suite_inputs".to_string()]
+            ["tuner".to_string(), "suite_inputs".to_string()]
         );
     }
 }

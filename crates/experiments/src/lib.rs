@@ -11,8 +11,8 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_config, dy_family, evaluate_program, measure_speedup, pareto_front, DebugTuner, PassRanking,
-    ProgramInput, TradeoffPoint, TunerConfig,
+    dy_config, dy_family, measure_speedup, pareto_front, DebugTuner, PassRanking, ProgramInput,
+    TradeoffPoint, TunerConfig,
 };
 use dt_metrics::stats;
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -98,8 +98,9 @@ pub fn suite_inputs() -> Vec<ProgramInput> {
 
 // ---------------------------------------------------------------- T1
 
-/// Table I: the four measurement methods on the synthetic population.
-pub fn table01_methods() -> String {
+/// Table I: the four measurement methods on the synthetic population
+/// (reference builds only).
+pub fn table01_methods(tuner: &DebugTuner) -> String {
     let programs = synthetic_inputs(synth_n());
     let mut out = String::new();
     let _ = writeln!(
@@ -120,7 +121,7 @@ pub fn table01_methods() -> String {
         for &level in OptLevel::levels_for(personality) {
             let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 12];
             for p in &programs {
-                let e = evaluate_program(p, personality, level, 2_000_000);
+                let e = tuner.evaluate_reference(p, personality, level);
                 let m = &e.methods;
                 for (i, v) in [
                     m.static_m.availability,
@@ -159,8 +160,11 @@ pub fn table01_methods() -> String {
 // ---------------------------------------------------------------- T2
 
 /// Table II: hybrid metrics for libpng across levels.
-pub fn table02_libpng() -> String {
-    let p = ProgramInput::from_suite(&dt_testsuite::program("libpng").unwrap(), fuzz_iters());
+pub fn table02_libpng(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
+    let p = programs
+        .iter()
+        .find(|p| p.name == "libpng")
+        .expect("libpng is a suite program");
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -173,7 +177,7 @@ pub fn table02_libpng() -> String {
     );
     for personality in [Personality::Gcc, Personality::Clang] {
         for &level in OptLevel::levels_for(personality) {
-            let e = evaluate_program(&p, personality, level, 3_000_000);
+            let e = tuner.evaluate_reference(p, personality, level);
             let _ = writeln!(
                 out,
                 "{:<9} {:<5} {:>14.4} {:>14.4} {:>10.4}",
@@ -227,10 +231,10 @@ pub fn table03_testsuite() -> String {
         let reduction = 100.0 * (1.0 - min.len() as f64 / queue_len as f64);
         let steppable = obj.debug.steppable_lines().len();
         let session = dt_debugger::SessionConfig::default();
-        let stepped = dt_debugger::trace(&obj, harness, &min, &session)
-            .unwrap()
-            .stepped_lines()
-            .len();
+        let plan = dt_debugger::BreakPlan::new(&obj);
+        let (trace, _) =
+            dt_debugger::trace_with_plan_stats(&obj, harness, &min, &session, &plan).unwrap();
+        let stepped = trace.stepped_lines().len();
         let cov = 100.0 * stepped as f64 / steppable.max(1) as f64;
         let _ = writeln!(
             out,
@@ -832,8 +836,9 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 
 /// Table XVI: debug-info *correctness* defects against O0 ground
 /// truth, per personality and level, classified by the checker's
-/// taxonomy (wrong / stale / phantom / misplaced).
-pub fn table16_correctness(programs: &[ProgramInput]) -> String {
+/// taxonomy (wrong / stale / phantom / misplaced). Reads only the
+/// reference stage's correctness summary.
+pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -858,37 +863,19 @@ pub fn table16_correctness(programs: &[ProgramInput]) -> String {
     // headline "more optimization, more lies" series).
     let mut per_level: Vec<(OptLevel, u32)> = Vec::new();
     for personality in [Personality::Gcc, Personality::Clang] {
-        // One oracle per program shares the parsed analysis, the O0
-        // ground-truth build, and the memoized baseline trace across
-        // every level of this personality; sums are accumulated per
-        // level and emitted in the table's level order below.
-        let levels = OptLevel::levels_for(personality);
-        let mut sums: Vec<dt_checker::DefectSummary> =
-            vec![dt_checker::DefectSummary::default(); levels.len()];
-        for p in programs {
-            let mut oracle = dt_checker::Oracle::new(&p.source, personality)
-                .unwrap_or_else(|e| panic!("oracle build failed on {}: {e}", p.name));
-            for (i, &level) in levels.iter().enumerate() {
-                let r = oracle
-                    .check_gate(
-                        &p.harness,
-                        &p.inputs,
-                        &p.entry_args,
-                        level,
-                        &PassGate::allow_all(),
-                        3_000_000,
-                    )
-                    .unwrap_or_else(|e| panic!("checker failed on {}: {e}", p.name));
-                let s = r.summary;
-                sums[i].wrong += s.wrong;
-                sums[i].stale += s.stale;
-                sums[i].phantom += s.phantom;
-                sums[i].misplaced += s.misplaced;
-                sums[i].lines_checked += s.lines_checked;
-                sums[i].values_checked += s.values_checked;
+        for &level in OptLevel::levels_for(personality) {
+            let mut sum = dt_checker::DefectSummary::default();
+            for p in programs {
+                let s = tuner
+                    .evaluate_reference(p, personality, level)
+                    .reference_defects;
+                sum.wrong += s.wrong;
+                sum.stale += s.stale;
+                sum.phantom += s.phantom;
+                sum.misplaced += s.misplaced;
+                sum.lines_checked += s.lines_checked;
+                sum.values_checked += s.values_checked;
             }
-        }
-        for (&level, sum) in levels.iter().zip(&sums) {
             let _ = writeln!(
                 out,
                 "{:<9} {:<5} | {:>6} {:>6} {:>8} {:>10} {:>6} | {:>8} {:>8} {:>8.4}",

@@ -16,6 +16,15 @@ cargo build --release
 echo "== tier-1 verify: tests =="
 cargo test -q
 
+echo "== workspace tests =="
+cargo test --workspace -q
+
+echo "== benchmark harness tests =="
+# Same build directory as perfbench/run.py, so a public-API change that
+# breaks the harness fails here rather than in a benchmark run.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+  cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== checker smoke (correctness oracle) =="
 cargo run --release --example checker_smoke
 

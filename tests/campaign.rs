@@ -1,7 +1,7 @@
 //! End-to-end campaign integration on the real experiment DAG.
 //!
 //! Exercises a small subset of the suite (`table03_testsuite` plus the
-//! `suite_inputs -> table16_correctness` chain) at tiny knobs through
+//! `suite_inputs + tuner -> table16_correctness` chain) at tiny knobs through
 //! the full `dt_campaign` engine: a cold run, a warm rerun that must be
 //! 100% cache hits with bit-identical artifacts, and a simulated
 //! mid-campaign kill followed by a resume that must reuse the work
@@ -59,11 +59,11 @@ fn campaign_cold_warm_and_crash_resume() {
     let dir_a = base.join("a");
     let dir_b = base.join("b");
 
-    // Cold run: the two targets plus the ephemeral suite_inputs
-    // artifact all execute.
+    // Cold run: the two targets plus the ephemeral suite_inputs and
+    // tuner artifacts all execute.
     let cold = run(&dir_a, None);
     assert!(cold.report.success(), "cold run failed: {:?}", cold.report);
-    assert_eq!(cold.report.count(JobStatus::Ran), 3, "{:?}", cold.report);
+    assert_eq!(cold.report.count(JobStatus::Ran), 4, "{:?}", cold.report);
     let golden = read_outputs(&dir_a);
     assert!(
         dir_a.join(".cache/journal.jsonl").is_file(),
@@ -71,8 +71,8 @@ fn campaign_cold_warm_and_crash_resume() {
     );
 
     // Warm rerun: every persisted target is served from the cache,
-    // nothing executes (suite_inputs is demand-pruned away), and the
-    // artifacts on disk are bit-identical.
+    // nothing executes (suite_inputs and tuner are demand-pruned away),
+    // and the outputs on disk are bit-identical.
     let warm = run(&dir_a, None);
     assert!(
         warm.report.all_hits(),
@@ -82,10 +82,10 @@ fn campaign_cold_warm_and_crash_resume() {
     assert_eq!(warm.report.count(JobStatus::Hit), 2, "{:?}", warm.report);
     assert_eq!(read_outputs(&dir_a), golden, "warm rerun changed outputs");
 
-    // Simulated kill after two jobs: with one worker the dependency
-    // order runs suite_inputs then table03_testsuite, so exactly one
-    // persisted output lands in the cache before the "crash".
-    let crashed = run(&dir_b, Some(2));
+    // Simulated kill after three jobs: with one worker the dependency
+    // order runs suite_inputs, tuner, then table03_testsuite, so exactly
+    // one persisted output lands in the cache before the "crash".
+    let crashed = run(&dir_b, Some(3));
     assert!(!crashed.report.success(), "{:?}", crashed.report);
     assert!(
         crashed.report.count(JobStatus::Interrupted) >= 1,

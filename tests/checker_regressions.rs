@@ -5,7 +5,9 @@
 //! gcc builds report values that diverge from O0 ground truth. These
 //! tests pin a seed where that policy manifests as classified
 //! stale/wrong-value defects and assert the classification is
-//! deterministic across independent checker runs.
+//! deterministic across independent checker runs. A third test ties
+//! the tuner's reference-stage correctness summary (what Table XVI
+//! reads) to the standalone checker.
 
 use dt_checker::{check_compiled, DefectClass};
 use dt_passes::{CompileOptions, OptLevel, Personality};
@@ -60,4 +62,44 @@ fn checker_classification_is_deterministic_across_runs() {
     let b = checked_report();
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.defects, b.defects);
+}
+
+/// For every personality and level, the tuner's reference-stage
+/// `reference_defects` equals a standalone `check_compiled` of the
+/// same program, inputs and step budget.
+#[test]
+fn tuner_reference_defects_match_check_compiled() {
+    const MAX_STEPS: u64 = 3_000_000;
+    let tuner = debugtuner::DebugTuner::new(debugtuner::TunerConfig {
+        max_steps_per_input: MAX_STEPS,
+        threads: 1,
+    });
+    for name in ["bzip2", "libpng"] {
+        let p = dt_testsuite::program(name).unwrap();
+        let program = debugtuner::ProgramInput {
+            name: p.name.to_string(),
+            source: p.source.to_string(),
+            harness: p.harnesses[0].to_string(),
+            inputs: p.seeds.iter().map(|s| s.to_vec()).collect(),
+            entry_args: vec![],
+        };
+        for personality in [Personality::Gcc, Personality::Clang] {
+            for &level in OptLevel::levels_for(personality) {
+                let via_tuner = tuner
+                    .evaluate_reference(&program, personality, level)
+                    .reference_defects;
+                let standalone = check_compiled(
+                    &program.source,
+                    &program.harness,
+                    &program.inputs,
+                    &program.entry_args,
+                    &CompileOptions::new(personality, level),
+                    MAX_STEPS,
+                )
+                .unwrap()
+                .summary;
+                assert_eq!(via_tuner, standalone, "{name} {personality} {level}");
+            }
+        }
+    }
 }

@@ -39,13 +39,7 @@ fn quality_degrades_with_optimization_and_recovers_with_tuning() {
     let p = program_input();
     let tuner = debugtuner::DebugTuner::default();
 
-    let e0_ref = debugtuner::eval::evaluate_config(
-        &p,
-        Personality::Gcc,
-        OptLevel::O0,
-        &PassGate::allow_all(),
-        1_000_000,
-    );
+    let e0_ref = tuner.evaluate_config(&p, Personality::Gcc, OptLevel::O0, &PassGate::allow_all());
     assert!(
         (e0_ref.product - 1.0).abs() < 1e-9,
         "O0 against itself is perfect"
@@ -60,8 +54,7 @@ fn quality_degrades_with_optimization_and_recovers_with_tuning() {
     // metric for this program.
     let ranking = tuner.rank_passes(std::slice::from_ref(&p), Personality::Gcc, OptLevel::O3);
     let cfg = debugtuner::dy_config(Personality::Gcc, OptLevel::O3, &ranking, 3);
-    let tuned =
-        debugtuner::eval::evaluate_config(&p, Personality::Gcc, OptLevel::O3, &cfg.gate, 1_000_000);
+    let tuned = tuner.evaluate_config(&p, Personality::Gcc, OptLevel::O3, &cfg.gate);
     assert!(
         tuned.product >= e3.reference.product,
         "O3-d3 ({}) must not be worse than O3 ({})",

@@ -1,6 +1,6 @@
 //! Differential coverage of the two debug-session engines: the
 //! slow-step reference `trace()` and the fast-path
-//! `trace_fast`/`trace_with_plan` (in-VM breakpoint bitmap, early-exit
+//! `trace_with_plan_stats` (in-VM breakpoint bitmap, early-exit
 //! inputs) must produce field-for-field identical `DebugTrace`s —
 //! lines, values, hits, hit_order, inputs_run — on every binary,
 //! including ground-truth (`track_dbg_bindings`) sessions.
@@ -10,7 +10,7 @@
 //! randomly generated programs with random inputs through random
 //! personality/level combinations.
 
-use dt_debugger::{trace, trace_fast, trace_with_plan, BreakPlan, SessionConfig};
+use dt_debugger::{trace, trace_with_plan_stats, BreakPlan, SessionConfig};
 use dt_passes::{compile_source, CompileOptions, OptLevel, Personality};
 use proptest::prelude::*;
 
@@ -37,7 +37,8 @@ fn suite_fast_path_matches_slow_step_everywhere() {
                 for ground_truth in [false, true] {
                     let cfg = session(ground_truth);
                     let slow = trace(&obj, p.harnesses[0], &inputs, &cfg).unwrap();
-                    let fast = trace_with_plan(&obj, p.harnesses[0], &inputs, &cfg, &plan).unwrap();
+                    let (fast, _) =
+                        trace_with_plan_stats(&obj, p.harnesses[0], &inputs, &cfg, &plan).unwrap();
                     assert_eq!(
                         slow, fast,
                         "{} {personality:?} {level:?} ground_truth={ground_truth}",
@@ -67,7 +68,7 @@ fn artifact_store_baseline_matches_slow_step() {
     let art = store.program_artifacts(&program, 2_000_000, None);
     let slow = trace(&art.o0, &program.harness, &program.inputs, &session(true)).unwrap();
     assert_eq!(slow, art.base_trace);
-    let replay = trace_with_plan(
+    let (replay, _) = trace_with_plan_stats(
         &art.o0,
         &program.harness,
         &program.inputs,
@@ -106,7 +107,8 @@ proptest! {
         let inputs = vec![vec![byte, byte ^ 0x5a], vec![], vec![byte.wrapping_mul(3); 4]];
         let scfg = session(ground_truth);
         let slow = trace(&obj, "fuzz_main", &inputs, &scfg).unwrap();
-        let fast = trace_fast(&obj, "fuzz_main", &inputs, &scfg).unwrap();
+        let (fast, _) =
+            trace_with_plan_stats(&obj, "fuzz_main", &inputs, &scfg, &BreakPlan::new(&obj)).unwrap();
         prop_assert_eq!(
             &slow, &fast,
             "seed {} {:?} {:?} ground_truth={}\n{}",

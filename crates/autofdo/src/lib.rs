@@ -106,51 +106,72 @@ pub fn run_autofdo(
     input: &[u8],
     config: &AutoFdoConfig,
 ) -> Result<AutoFdoResult, String> {
-    // Profiling binary (with the paper's `-fdebug-info-for-profiling`
-    // spirit: our debug info is always fully emitted).
-    let profiling_opts = CompileOptions {
-        personality: config.personality,
-        level: config.profiling_level,
-        gate: config.profiling_gate.clone(),
-        profile: None,
-    };
-    let profiling_obj = compile(module, &profiling_opts);
-    let profiling_steppable = profiling_obj.debug.steppable_lines().len();
+    let gates = std::slice::from_ref(&config.profiling_gate);
+    let mut results = run_autofdo_sweep(module, entry, args, input, config, gates)?;
+    Ok(results.remove(0))
+}
 
-    let profile = collect_profile(&profiling_obj, entry, args, input, config.max_steps)?;
-    let mapped_fraction = profile.mapped_fraction();
-
-    // Plain final build.
-    let plain_opts = CompileOptions::new(config.personality, config.final_level);
-    let plain_obj = compile(module, &plain_opts);
+/// Runs the AutoFDO pipeline once per profiling gate, in order. Each
+/// gate replaces `base.profiling_gate`; the plain final binary does not
+/// depend on the gate, so it is built and run once and every result
+/// shares its `plain_cycles`.
+pub fn run_autofdo_sweep(
+    module: &dt_ir::Module,
+    entry: &str,
+    args: &[i64],
+    input: &[u8],
+    base: &AutoFdoConfig,
+    gates: &[PassGate],
+) -> Result<Vec<AutoFdoResult>, String> {
     let vm_cfg = VmConfig {
-        max_steps: config.max_steps,
+        max_steps: base.max_steps,
         ..VmConfig::default()
     };
+    // Plain final build.
+    let plain_opts = CompileOptions::new(base.personality, base.final_level);
+    let plain_obj = compile(module, &plain_opts);
     let plain = Vm::run_to_completion(&plain_obj, entry, args, input, vm_cfg.clone())?;
 
-    // AutoFDO final build.
-    let fdo_opts = CompileOptions {
-        personality: config.personality,
-        level: config.final_level,
-        gate: PassGate::allow_all(),
-        profile: Some(profile),
-    };
-    let fdo_obj = compile(module, &fdo_opts);
-    let fdo = Vm::run_to_completion(&fdo_obj, entry, args, input, vm_cfg)?;
-    if plain.ret != fdo.ret || plain.output != fdo.output {
-        return Err(format!(
-            "AutoFDO build diverges on `{entry}`: {} vs {}",
-            plain.ret, fdo.ret
-        ));
-    }
+    let mut results = Vec::with_capacity(gates.len());
+    for gate in gates {
+        // Profiling binary (with the paper's `-fdebug-info-for-profiling`
+        // spirit: our debug info is always fully emitted).
+        let profiling_opts = CompileOptions {
+            personality: base.personality,
+            level: base.profiling_level,
+            gate: gate.clone(),
+            profile: None,
+        };
+        let profiling_obj = compile(module, &profiling_opts);
+        let profiling_steppable = profiling_obj.debug.steppable_lines().len();
 
-    Ok(AutoFdoResult {
-        plain_cycles: plain.cycles,
-        autofdo_cycles: fdo.cycles,
-        mapped_fraction,
-        profiling_steppable_lines: profiling_steppable,
-    })
+        let profile = collect_profile(&profiling_obj, entry, args, input, base.max_steps)?;
+        let mapped_fraction = profile.mapped_fraction();
+
+        // AutoFDO final build.
+        let fdo_opts = CompileOptions {
+            personality: base.personality,
+            level: base.final_level,
+            gate: PassGate::allow_all(),
+            profile: Some(profile),
+        };
+        let fdo_obj = compile(module, &fdo_opts);
+        let fdo = Vm::run_to_completion(&fdo_obj, entry, args, input, vm_cfg.clone())?;
+        if plain.ret != fdo.ret || plain.output != fdo.output {
+            return Err(format!(
+                "AutoFDO build diverges on `{entry}`: {} vs {}",
+                plain.ret, fdo.ret
+            ));
+        }
+
+        results.push(AutoFdoResult {
+            plain_cycles: plain.cycles,
+            autofdo_cycles: fdo.cycles,
+            mapped_fraction,
+            profiling_steppable_lines: profiling_steppable,
+        });
+    }
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -257,5 +278,58 @@ int f(int n) {
             r_tuned.profiling_steppable_lines,
             r_base.profiling_steppable_lines
         );
+    }
+
+    /// The sweep builds the plain binary once; every entry must match an
+    /// independent plain build and a one-gate sweep of its gate.
+    #[test]
+    fn sweep_shares_one_plain_build_and_matches_single_gate_runs() {
+        let b = spec::benchmark("505.mcf").unwrap();
+        let module = module_of(b.source);
+        let base = AutoFdoConfig {
+            max_steps: 100_000_000,
+            ..Default::default()
+        };
+        let iters = b.iterations(Workload::Test);
+        let gates = [
+            PassGate::allow_all(),
+            PassGate::disabling(["Inliner"]),
+            PassGate::disabling(["Inliner", "JumpThreading", "Machine code sinking"]),
+        ];
+        let sweep = run_autofdo_sweep(&module, b.entry, &[iters], &[], &base, &gates).unwrap();
+        assert_eq!(sweep.len(), gates.len());
+
+        let plain_obj = dt_passes::compile(
+            &module,
+            &CompileOptions::new(base.personality, base.final_level),
+        );
+        let vm_cfg = VmConfig {
+            max_steps: base.max_steps,
+            ..VmConfig::default()
+        };
+        let plain = Vm::run_to_completion(&plain_obj, b.entry, &[iters], &[], vm_cfg).unwrap();
+        for (gate, r) in gates.iter().zip(&sweep) {
+            assert_eq!(r.plain_cycles, plain.cycles, "{gate:?}");
+            let single = run_autofdo_sweep(
+                &module,
+                b.entry,
+                &[iters],
+                &[],
+                &base,
+                std::slice::from_ref(gate),
+            )
+            .unwrap();
+            assert_eq!(single.len(), 1);
+            assert_eq!(r.autofdo_cycles, single[0].autofdo_cycles, "{gate:?}");
+            assert_eq!(
+                r.mapped_fraction.to_bits(),
+                single[0].mapped_fraction.to_bits(),
+                "{gate:?}"
+            );
+            assert_eq!(
+                r.profiling_steppable_lines, single[0].profiling_steppable_lines,
+                "{gate:?}"
+            );
+        }
     }
 }

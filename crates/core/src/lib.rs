@@ -45,7 +45,7 @@ pub use eval::{
     evaluate_program, evaluate_program_parallel, PassEffect, ProgramEvaluation, ProgramInput,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
-pub use perf::{measure_speedup, PerfReport};
+pub use perf::{measure_speedup, PerfReport, SpecBaseline};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::{EvalStats, Telemetry};
 

@@ -11,8 +11,8 @@
 //!   `test`; use `ref` for the measurement runs).
 
 use debugtuner::{
-    dy_config, dy_family, measure_speedup, pareto_front, DebugTuner, PassRanking, ProgramInput,
-    TradeoffPoint, TunerConfig,
+    dy_config, dy_family, pareto_front, DebugTuner, PassRanking, PerfReport, ProgramInput,
+    SpecBaseline, TradeoffPoint, TunerConfig,
 };
 use dt_metrics::stats;
 use dt_passes::{OptLevel, PassGate, Personality};
@@ -21,8 +21,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 pub mod campaign;
-
-type PerfReportLocal = debugtuner::PerfReport;
 
 /// Reads the synthetic-population knob.
 pub fn synth_n() -> usize {
@@ -412,10 +410,10 @@ pub fn table07_breakdown(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 /// Everything the trade-off tables need for one personality.
 pub struct TradeoffData {
     pub personality: Personality,
-    /// Per level: (reference product, reference speedup).
-    pub reference: Vec<(OptLevel, f64, f64)>,
+    /// Per level: (reference product, reference performance).
+    pub reference: Vec<(OptLevel, f64, PerfReport)>,
     /// Per level, per y: config name, per-program products, avg
-    /// product, speedup.
+    /// product, performance.
     pub configs: Vec<DyPoint>,
     /// Per-program names, aligned with the product vectors.
     pub program_names: Vec<String>,
@@ -430,17 +428,19 @@ pub struct DyPoint {
     pub y: usize,
     pub products: Vec<f64>,
     pub avg_product: f64,
-    pub speedup: f64,
+    pub perf: PerfReport,
     pub gate: PassGate,
 }
 
-/// Computes the full `Ox`/`Ox-dy` matrix for one personality.
+/// Computes the full `Ox`/`Ox-dy` matrix for one personality. Every
+/// configuration's SPEC performance is measured once, against one
+/// shared `O0` baseline.
 pub fn tradeoff_data(
     tuner: &DebugTuner,
     programs: &[ProgramInput],
     personality: Personality,
 ) -> TradeoffData {
-    let workload = workload();
+    let baseline = SpecBaseline::new(personality, workload());
     let mut reference = Vec::new();
     let mut reference_products = Vec::new();
     let mut configs = Vec::new();
@@ -448,8 +448,8 @@ pub fn tradeoff_data(
     for &level in OptLevel::levels_for(personality) {
         let evals = tuner.evaluate_all(programs, personality, level);
         let products: Vec<f64> = evals.iter().map(|e| e.reference.product).collect();
-        let perf = measure_speedup(personality, level, &PassGate::allow_all(), workload);
-        reference.push((level, stats::mean(&products), perf.speedup));
+        let perf = baseline.measure(level, &PassGate::allow_all());
+        reference.push((level, stats::mean(&products), perf));
         reference_products.push((level, products));
         let ranking = tuner.rank_passes(programs, personality, level);
         for cfg in dy_family(personality, level, &ranking) {
@@ -461,14 +461,14 @@ pub fn tradeoff_data(
                         .product
                 })
                 .collect();
-            let perf = measure_speedup(personality, level, &cfg.gate, workload);
+            let perf = baseline.measure(level, &cfg.gate);
             configs.push(DyPoint {
                 name: cfg.name.clone(),
                 level,
                 y: cfg.disabled.len(),
                 avg_product: stats::mean(&products),
                 products,
-                speedup: perf.speedup,
+                perf,
                 gate: cfg.gate,
             });
         }
@@ -515,12 +515,16 @@ pub fn table08_tradeoff(gcc: &TradeoffData, clang: &TradeoffData) -> String {
         let _ = writeln!(out, "[{label}] Δ speedup (%)");
         for y in [3, 5, 7, 9] {
             let mut row = format!("  Ox-d{y}:");
-            for &(level, _, ref_speed) in &data.reference {
-                let point = data.configs.iter().find(|c| c.level == level && c.y == y);
+            for (level, _, ref_perf) in &data.reference {
+                let ref_speed = ref_perf.speedup;
+                let point = data.configs.iter().find(|c| c.level == *level && c.y == y);
                 match point {
                     Some(p) if ref_speed > 0.0 => {
-                        let _ =
-                            write!(row, " {:>7.2}", 100.0 * (p.speedup - ref_speed) / ref_speed);
+                        let _ = write!(
+                            row,
+                            " {:>7.2}",
+                            100.0 * (p.perf.speedup - ref_speed) / ref_speed
+                        );
                     }
                     _ => {
                         let _ = write!(row, " {:>7}", "-");
@@ -581,9 +585,9 @@ pub fn table_per_program_dy(data: &TradeoffData) -> String {
     out
 }
 
-/// Tables XI/XII: SPEC speedups per benchmark for every configuration.
+/// Tables XI/XII: SPEC speedups per benchmark for every configuration,
+/// formatted from the performance `tradeoff_data` already measured.
 pub fn table_spec_speedups(gcc: &TradeoffData, clang: &TradeoffData, relative: bool) -> String {
-    let workload = workload();
     let mut out = String::new();
     if relative {
         let _ = writeln!(
@@ -598,26 +602,22 @@ pub fn table_spec_speedups(gcc: &TradeoffData, clang: &TradeoffData, relative: b
     }
     for data in [gcc, clang] {
         let _ = writeln!(out, "[{}]", data.personality.name());
-        for &(level, _, _) in &data.reference {
-            let std_perf =
-                measure_speedup(data.personality, level, &PassGate::allow_all(), workload);
+        for (level, _, std_perf) in &data.reference {
             let _ = writeln!(out, "  level {}:", level.name());
             let mut header = format!("    {:<16} {:>9}", "benchmark", "standard");
             for y in [3, 5, 7, 9] {
                 let _ = write!(header, " {:>9}", format!("d{y}"));
             }
             let _ = writeln!(out, "{header}");
-            // One suite measurement per dy configuration, reused for
-            // every benchmark row.
-            let dy_perfs: Vec<PerfReportLocal> = [3usize, 5, 7, 9]
+            let dy_perfs: Vec<&PerfReport> = [3usize, 5, 7, 9]
                 .into_iter()
                 .map(|y| {
                     let cfg = data
                         .configs
                         .iter()
-                        .find(|c| c.level == level && c.y == y)
+                        .find(|c| c.level == *level && c.y == y)
                         .expect("config");
-                    measure_speedup(data.personality, level, &cfg.gate, workload)
+                    &cfg.perf
                 })
                 .collect();
             for (bi, (bname, std_speed)) in std_perf.per_benchmark.iter().enumerate() {
@@ -647,11 +647,15 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
         String::from("Figure 2 — debuggability vs speedup scatter (x=product, y=speedup)\n");
     for data in [gcc, clang] {
         let mut points: Vec<TradeoffPoint> = Vec::new();
-        for &(level, prod, speed) in &data.reference {
-            points.push(TradeoffPoint::new(level.name(), prod, speed));
+        for (level, prod, perf) in &data.reference {
+            points.push(TradeoffPoint::new(level.name(), *prod, perf.speedup));
         }
         for c in &data.configs {
-            points.push(TradeoffPoint::new(c.name.clone(), c.avg_product, c.speedup));
+            points.push(TradeoffPoint::new(
+                c.name.clone(),
+                c.avg_product,
+                c.perf.speedup,
+            ));
         }
         let front = pareto_front(&mut points);
         let _ = writeln!(t13, "[{}]", data.personality.name());
@@ -664,7 +668,7 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
                 .reference
                 .iter()
                 .find(|(l, _, _)| p.name.starts_with(l.name()))
-                .map(|&(_, prod, speed)| (prod, speed));
+                .map(|(_, prod, perf)| (*prod, perf.speedup));
             let (dq, ds) = base.map_or((0.0, 0.0), |(bp, bs)| {
                 (
                     if bp > 0.0 {
@@ -703,12 +707,38 @@ pub fn pareto_tables(gcc: &TradeoffData, clang: &TradeoffData) -> (String, Strin
 
 // ----------------------------------------------- T15, Fig 3, Fig 4
 
+/// An AutoFDO run that profiles and rebuilds at `level`.
+fn autofdo_config(personality: Personality, level: OptLevel) -> dt_autofdo::AutoFdoConfig {
+    dt_autofdo::AutoFdoConfig {
+        personality,
+        profiling_level: level,
+        profiling_gate: PassGate::allow_all(),
+        final_level: level,
+        max_steps: 2_000_000_000,
+    }
+}
+
+/// The profiling gates of the AutoFDO figures: `level` itself, then
+/// `level-d3`, `-d5`, `-d7` and `-d9`.
+fn autofdo_gates(
+    tuner: &DebugTuner,
+    programs: &[ProgramInput],
+    personality: Personality,
+    level: OptLevel,
+) -> Vec<PassGate> {
+    let ranking = tuner.rank_passes(programs, personality, level);
+    let mut gates = vec![PassGate::allow_all()];
+    for y in [3usize, 5, 7, 9] {
+        gates.push(dy_config(personality, level, &ranking, y).gate);
+    }
+    gates
+}
+
 /// Table XV + Figure 3: AutoFDO on the benchmark suite.
 pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, String) {
-    use dt_autofdo::{run_autofdo, AutoFdoConfig};
     let personality = Personality::Clang;
     let level = OptLevel::O2;
-    let ranking = tuner.rank_passes(programs, personality, level);
+    let gates = autofdo_gates(tuner, programs, personality, level);
     let workload = workload();
 
     let mut t15 = String::from(
@@ -726,24 +756,20 @@ pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, S
     for b in spec_suite() {
         let module = dt_frontend::lower_source(b.source).unwrap();
         let iters = b.iterations(workload);
-        let base_cfg = AutoFdoConfig {
-            personality,
-            profiling_level: level,
-            profiling_gate: PassGate::allow_all(),
-            final_level: level,
-            max_steps: 2_000_000_000,
-        };
-        let base = run_autofdo(&module, b.entry, &[iters], &[], &base_cfg).unwrap();
+        let sweep = dt_autofdo::run_autofdo_sweep(
+            &module,
+            b.entry,
+            &[iters],
+            &[],
+            &autofdo_config(personality, level),
+            &gates,
+        )
+        .unwrap();
+        let (base, dys) = sweep.split_first().expect("ungated run");
         let base_speedup = base.plain_cycles as f64 / base.autofdo_cycles as f64;
         let mut row = format!("{:<16} {:>8.4} |", b.name, base_speedup);
         let mut best_dy = base_speedup;
-        for y in [3usize, 5, 7, 9] {
-            let cfg = dy_config(personality, level, &ranking, y);
-            let dy_cfg = AutoFdoConfig {
-                profiling_gate: cfg.gate.clone(),
-                ..base_cfg.clone()
-            };
-            let r = run_autofdo(&module, b.entry, &[iters], &[], &dy_cfg).unwrap();
+        for r in dys {
             let speedup = r.plain_cycles as f64 / r.autofdo_cycles as f64;
             best_dy = best_dy.max(speedup);
             let extra_lines = 100.0
@@ -771,10 +797,9 @@ pub fn autofdo_spec(tuner: &DebugTuner, programs: &[ProgramInput]) -> (String, S
 
 /// Figure 4: AutoFDO on the self-compilation workload, O3 profiles.
 pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> String {
-    use dt_autofdo::{run_autofdo, AutoFdoConfig};
     let personality = Personality::Clang;
     let level = OptLevel::O3;
-    let ranking = tuner.rank_passes(programs, personality, level);
+    let gates = autofdo_gates(tuner, programs, personality, level);
     let cc = dt_testsuite::self_compile_program();
     let module = dt_frontend::lower_source(cc.source).unwrap();
 
@@ -797,14 +822,16 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
 
     let mut out =
         String::from("Figure 4 — O3-dy AutoFDO vs O3-AutoFDO on the self-compilation workload\n");
-    let base_cfg = AutoFdoConfig {
-        personality,
-        profiling_level: level,
-        profiling_gate: PassGate::allow_all(),
-        final_level: level,
-        max_steps: 2_000_000_000,
-    };
-    let base = run_autofdo(&module, "compile_unit", &[], &input, &base_cfg).unwrap();
+    let sweep = dt_autofdo::run_autofdo_sweep(
+        &module,
+        "compile_unit",
+        &[],
+        &input,
+        &autofdo_config(personality, level),
+        &gates,
+    )
+    .unwrap();
+    let (base, dys) = sweep.split_first().expect("ungated run");
     let base_speedup = base.plain_cycles as f64 / base.autofdo_cycles as f64;
     let _ = writeln!(
         out,
@@ -812,13 +839,7 @@ pub fn fig04_selfcompile(tuner: &DebugTuner, programs: &[ProgramInput]) -> Strin
         100.0 * (base_speedup - 1.0),
         100.0 * base.mapped_fraction
     );
-    for y in [3usize, 5, 7, 9] {
-        let cfg = dy_config(personality, level, &ranking, y);
-        let dy_cfg = AutoFdoConfig {
-            profiling_gate: cfg.gate.clone(),
-            ..base_cfg.clone()
-        };
-        let r = run_autofdo(&module, "compile_unit", &[], &input, &dy_cfg).unwrap();
+    for (y, r) in [3usize, 5, 7, 9].into_iter().zip(dys) {
         let speedup = r.plain_cycles as f64 / r.autofdo_cycles as f64;
         let _ = writeln!(
             out,
@@ -910,4 +931,91 @@ pub fn make_tuner() -> DebugTuner {
         max_steps_per_input: 3_000_000,
         ..Default::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A hand-made trade-off sweep over benchmarks `a.x` and `b.y`:
+    /// each level's reference speedups are `scale` times (2, 4), and
+    /// `Ox-dy` loses y percent on every benchmark.
+    fn spec_data(personality: Personality, levels: &[(OptLevel, f64)]) -> TradeoffData {
+        let perf = |a: f64, b: f64| PerfReport {
+            per_benchmark: vec![("a.x".to_string(), a), ("b.y".to_string(), b)],
+            speedup: (a * b).sqrt(),
+        };
+        let mut reference = Vec::new();
+        let mut configs = Vec::new();
+        for &(level, scale) in levels {
+            let (a, b) = (2.0 * scale, 4.0 * scale);
+            reference.push((level, 0.5, perf(a, b)));
+            // Reverse order: the tables must look points up by (level, y).
+            for y in [9usize, 7, 5, 3] {
+                let keep = 1.0 - y as f64 / 100.0;
+                configs.push(DyPoint {
+                    name: format!("{}-d{y}", level.name()),
+                    level,
+                    y,
+                    products: Vec::new(),
+                    avg_product: 0.5,
+                    perf: perf(a * keep, b * keep),
+                    gate: PassGate::allow_all(),
+                });
+            }
+        }
+        TradeoffData {
+            personality,
+            reference,
+            configs,
+            program_names: Vec::new(),
+            reference_products: Vec::new(),
+            rankings: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn spec_tables_format_the_measured_sweep() {
+        let gcc = spec_data(
+            Personality::Gcc,
+            &[(OptLevel::O1, 1.0), (OptLevel::O2, 1.25)],
+        );
+        let clang = spec_data(Personality::Clang, &[(OptLevel::O2, 1.0)]);
+        let absolute = "\
+Table XI — speedup over O0 per benchmark, standard and Ox-dy configurations
+[gcc]
+  level O1:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.0000    1.9400    1.9000    1.8600    1.8200
+    b.y                 4.0000    3.8800    3.8000    3.7200    3.6400
+  level O2:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.5000    2.4250    2.3750    2.3250    2.2750
+    b.y                 5.0000    4.8500    4.7500    4.6500    4.5500
+[clang]
+  level O2:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.0000    1.9400    1.9000    1.8600    1.8200
+    b.y                 4.0000    3.8800    3.8000    3.7200    3.6400
+";
+        assert_eq!(table_spec_speedups(&gcc, &clang, false), absolute);
+        let relative = "\
+Table XII — Ox-dy % speedup change vs reference level, per benchmark
+[gcc]
+  level O1:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.0000     -3.00     -5.00     -7.00     -9.00
+    b.y                 4.0000     -3.00     -5.00     -7.00     -9.00
+  level O2:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.5000     -3.00     -5.00     -7.00     -9.00
+    b.y                 5.0000     -3.00     -5.00     -7.00     -9.00
+[clang]
+  level O2:
+    benchmark         standard        d3        d5        d7        d9
+    a.x                 2.0000     -3.00     -5.00     -7.00     -9.00
+    b.y                 4.0000     -3.00     -5.00     -7.00     -9.00
+";
+        assert_eq!(table_spec_speedups(&gcc, &clang, true), relative);
+    }
 }

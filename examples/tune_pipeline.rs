@@ -6,7 +6,7 @@
 //! cargo run --release --example tune_pipeline
 //! ```
 
-use debugtuner::{dy_config, DebugTuner, ProgramInput};
+use debugtuner::{dy_config, DebugTuner, ProgramInput, SpecBaseline};
 use dt_passes::{OptLevel, PassGate, Personality};
 use dt_testsuite::spec::Workload;
 
@@ -70,9 +70,10 @@ fn main() {
         100.0 * (avg(&tuned) - avg(&reference)) / avg(&reference)
     );
 
-    let perf_ref =
-        debugtuner::measure_speedup(personality, level, &PassGate::allow_all(), Workload::Test);
-    let perf_tuned = debugtuner::measure_speedup(personality, level, &cfg.gate, Workload::Test);
+    // One O0 baseline serves both measurements.
+    let baseline = SpecBaseline::new(personality, Workload::Test);
+    let perf_ref = baseline.measure(level, &PassGate::allow_all());
+    let perf_tuned = baseline.measure(level, &cfg.gate);
     println!(
         "speedup over O0: O2 {:.3}x -> {} {:.3}x ({:+.1}%)",
         perf_ref.speedup,

@@ -25,6 +25,13 @@ echo "== benchmark harness tests =="
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
   cargo test --release --manifest-path perfbench/Cargo.toml
 
+echo "== cold campaign: results byte-identical to perfbench/expected =="
+# One cold 25-job campaign at the benchmark's pinned knobs; "correct"
+# is true only if all 19 results/*.txt match the committed hashes.
+bench_result="$(python3 perfbench/run.py --workload campaign_cold --seconds 1 --trace 0 | tail -n 1)"
+echo "$bench_result"
+grep -q '"correct":true' <<<"$bench_result"
+
 echo "== checker smoke (correctness oracle) =="
 cargo run --release --example checker_smoke
 

@@ -21,10 +21,11 @@
 //!
 //! [`compile`] runs the full pipeline (middle end, then the `dt-machine`
 //! backend with its own gated passes) and returns the assembled object.
-//! Both it and the checkpointed [`session::CompileSession`] (which
-//! amortizes variant matrices by resuming from mid-pipeline snapshots)
-//! execute stages through the same engine, so one-shot and
-//! session-resumed builds are bit-identical.
+//! Both it and the checkpointed [`session::CompileSession`] (which runs
+//! the ungated pipeline once, keeps a snapshot before each distinct
+//! first-gated position, and resumes every variant from one) execute
+//! stages through the same engine, so one-shot and session-resumed
+//! builds are bit-identical.
 
 pub mod manager;
 pub mod opt;
@@ -33,9 +34,7 @@ pub mod session;
 
 pub use manager::{PassConfig, PassGate, PassInstance};
 pub use pipeline::{backend_pass_names, pipeline_pass_names, Personality, Pipeline};
-pub use session::{
-    module_fingerprint, CompileSession, SessionStats, SnapshotRetention, VariantBuild,
-};
+pub use session::{CompileSession, SessionStats, VariantBuild};
 
 use dt_ir::{Module, Profile};
 use dt_machine::Object;

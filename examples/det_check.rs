@@ -1,7 +1,7 @@
 //! Compilation-determinism check: compiling the same source with the
-//! same options must be bit-identical across repeated calls (the
-//! content-addressed trace cache and the serial/parallel equivalence
-//! of variant evaluation both rest on this).
+//! same options must be bit-identical across repeated calls (checkpoint
+//! resume in `CompileSession` and the serial/parallel equivalence of
+//! variant evaluation both rest on this).
 //!
 //! Usage: `cargo run --release --example det_check`
 

@@ -2,16 +2,16 @@
 //! checkpointed [`CompileSession`] from a mid-pipeline snapshot must be
 //! bit-identical to compiling the same gated configuration from
 //! scratch, across the whole suite, both personalities, every level,
-//! and every single-pass gate — plus a handful of multi-pass gates and
-//! both snapshot-retention modes. Also verifies sessions are
-//! deterministic: two sessions over the same module agree on every
-//! stage fingerprint.
+//! and every single-pass gate — plus a handful of multi-pass gates. Also
+//! verifies every variant resumes at the first middle-end instance its
+//! gate disables (or skips the whole middle end when it disables none),
+//! which is the position the session's snapshot store must cover.
 //!
 //! Usage: `cargo run --release --example session_check`
 
 use dt_passes::{
-    compile_source, pipeline_pass_names, CompileOptions, CompileSession, OptLevel, PassGate,
-    Personality, SnapshotRetention,
+    compile_source, pipeline, pipeline_pass_names, CompileOptions, CompileSession, OptLevel,
+    PassGate, Personality,
 };
 
 fn main() {
@@ -34,23 +34,13 @@ fn main() {
 
     let mut failures = 0usize;
     let mut variants = 0usize;
-    let mut skipped = 0u64;
+    let mut skipped = 0usize;
     for (name, src) in &srcs {
         for personality in [Personality::Gcc, Personality::Clang] {
             for &level in OptLevel::levels_for(personality) {
                 let module = dt_frontend::lower_source(src).unwrap();
-                let session = CompileSession::new(module.clone(), personality, level, None);
-                let minimal = CompileSession::with_retention(
-                    module,
-                    personality,
-                    level,
-                    None,
-                    SnapshotRetention::Minimal,
-                );
-                if session.stage_fingerprints() != minimal.stage_fingerprints() {
-                    failures += 1;
-                    println!("{name} {personality:?} {level:?}: NONDETERMINISTIC session stages");
-                }
+                let session = CompileSession::new(module, personality, level, None);
+                let mid = pipeline::build(personality, level).mid;
 
                 let names = pipeline_pass_names(personality, level);
                 let mut gates: Vec<(String, PassGate)> =
@@ -75,25 +65,35 @@ fn main() {
                     opts.gate = gate.clone();
                     let scratch = compile_source(src, &opts).unwrap().content_hash();
                     variants += 1;
-                    for (mode, s) in [("checkpoints", &session), ("minimal", &minimal)] {
-                        let resumed = s.compile_variant(&gate).content_hash();
-                        if resumed != scratch {
-                            failures += 1;
-                            println!(
-                                "{name} {personality:?} {level:?} gate {gname} ({mode}): \
-                                 session DIVERGES from scratch build"
-                            );
-                        }
+                    let resumed = session.build_variant(&gate);
+                    if resumed.object.content_hash() != scratch {
+                        failures += 1;
+                        println!(
+                            "{name} {personality:?} {level:?} gate {gname}: \
+                             session DIVERGES from scratch build"
+                        );
                     }
+                    let first_disabled = mid
+                        .iter()
+                        .position(|inst| !gate.allows(inst))
+                        .unwrap_or(mid.len());
+                    if resumed.prefix_skipped != first_disabled {
+                        failures += 1;
+                        println!(
+                            "{name} {personality:?} {level:?} gate {gname}: resumed at {} \
+                             instead of the first disabled instance {first_disabled}",
+                            resumed.prefix_skipped
+                        );
+                    }
+                    skipped += resumed.prefix_skipped;
                 }
-                skipped += session.stats().prefix_passes_skipped;
             }
         }
         eprintln!("{name}: checked");
     }
     println!(
-        "session check complete: {variants} gate(s) x 2 retention modes, \
-         {skipped} prefix pass(es) skipped, {failures} divergent builds"
+        "session check complete: {variants} gate(s), \
+         {skipped} prefix pass(es) skipped, {failures} failure(s)"
     );
     if failures > 0 {
         std::process::exit(1);

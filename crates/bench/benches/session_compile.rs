@@ -33,7 +33,8 @@ fn matrix_checkpointed(session: &CompileSession) -> u64 {
     let mut acc = 0u64;
     for pass in pipeline_pass_names(PERSONALITY, LEVEL) {
         acc ^= session
-            .compile_variant(&PassGate::disabling([pass]))
+            .build_variant(&PassGate::disabling([pass]))
+            .object
             .content_hash();
     }
     acc
@@ -60,7 +61,11 @@ fn bench_variant_matrix(c: &mut Criterion) {
     });
     // Backend-only gates reuse the optimized module outright.
     group.bench_function("variant_backend_only_gate", |b| {
-        b.iter(|| session.compile_variant(&PassGate::disabling(["schedule-insns2"])))
+        b.iter(|| {
+            session
+                .build_variant(&PassGate::disabling(["schedule-insns2"]))
+                .object
+        })
     });
     group.finish();
 

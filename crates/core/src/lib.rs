@@ -45,7 +45,7 @@ pub use eval::{
     evaluate_program, evaluate_program_parallel, PassEffect, ProgramEvaluation, ProgramInput,
 };
 pub use pareto::{pareto_front, TradeoffPoint};
-pub use perf::{measure_speedup, PerfReport, SpecBaseline};
+pub use perf::{PerfReport, SpecBaseline};
 pub use rank::{rank_passes_across, PassRanking, RankEntry};
 pub use telemetry::{EvalStats, Telemetry};
 
@@ -103,11 +103,6 @@ impl DebugTuner {
     /// traces, cache hits, per-stage wall-clock).
     pub fn stats(&self) -> EvalStats {
         self.telemetry.snapshot(self.config.threads)
-    }
-
-    /// Resets the telemetry counters (the evaluation caches survive).
-    pub fn reset_stats(&self) {
-        self.telemetry.reset();
     }
 
     /// Evaluates the whole suite in parallel and aggregates the pass

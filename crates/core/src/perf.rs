@@ -80,18 +80,6 @@ impl SpecBaseline {
     }
 }
 
-/// Measures the speedup over `O0` of a (level, gate) configuration
-/// on the full benchmark suite. Sweeps should share one
-/// [`SpecBaseline`] instead.
-pub fn measure_speedup(
-    personality: Personality,
-    level: OptLevel,
-    gate: &PassGate,
-    workload: Workload,
-) -> PerfReport {
-    SpecBaseline::new(personality, workload).measure(level, gate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -137,7 +137,7 @@ impl TraceStats {
 /// `is_stmt` line-table address resolved once to an instruction index
 /// in a dense bitmap over `obj.code`, plus the side tables a temporary-
 /// breakpoint session needs (line per armed index, per-line index
-/// groups for clearing) and the per-subprogram value keys [`observe`]
+/// groups for clearing) and the per-subprogram value keys `observe`
 /// would otherwise rebuild on every hit.
 ///
 /// Construction mirrors the classic address-keyed breakpoint table

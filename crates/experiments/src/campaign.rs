@@ -17,7 +17,8 @@
 //! * the program-set hash ([`program_set_fingerprint`]: real-world
 //!   suite, benchmark suite, and self-compile sources);
 //! * the pass-library fingerprint ([`library_fingerprint`], applied as
-//!   the campaign salt), so pipeline changes invalidate the cache;
+//!   the campaign salt), so pipeline changes and edits to any library
+//!   source invalidate the cache;
 //! * its dependencies' fingerprints (folded in by the engine).
 
 use crate::{
@@ -33,15 +34,22 @@ use dt_testsuite::spec::Workload;
 
 /// Bumped whenever the campaign's fingerprint semantics change, so
 /// stale cache objects from an older scheme can never be served.
-const CAMPAIGN_SCHEMA_VERSION: u64 = 1;
+const CAMPAIGN_SCHEMA_VERSION: u64 = 2;
 
-/// Fingerprint of the optimization-pass library: every personality and
-/// level's middle-end and backend pass sequence. Reuses the session
-/// layer's FNV-1a construction; a pass added, removed, or reordered
-/// changes the key and invalidates every cached experiment.
+/// Fingerprint of the code behind every experiment: every personality
+/// and level's middle-end and backend pass sequence, plus the hash of
+/// every `crates/*/src` file (`DT_CODE_HASH`, from this crate's build
+/// script). A pass added, removed or reordered, or any edit to a pass
+/// body, a metric, the VM or the checker, changes the key and
+/// invalidates every cached experiment.
 pub fn library_fingerprint() -> u64 {
+    fingerprint_with_code(env!("DT_CODE_HASH"))
+}
+
+fn fingerprint_with_code(code_hash: &str) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(CAMPAIGN_SCHEMA_VERSION);
+    h.write_str(code_hash);
     for personality in [Personality::Gcc, Personality::Clang] {
         h.write_str(personality.name());
         for &level in OptLevel::levels_for(personality) {
@@ -284,6 +292,18 @@ mod tests {
         assert_eq!(library_fingerprint(), library_fingerprint());
         assert_eq!(program_set_fingerprint(), program_set_fingerprint());
         assert_ne!(library_fingerprint(), program_set_fingerprint());
+    }
+
+    #[test]
+    fn library_fingerprint_covers_the_code_hash() {
+        assert_eq!(
+            library_fingerprint(),
+            fingerprint_with_code(env!("DT_CODE_HASH"))
+        );
+        assert_ne!(
+            fingerprint_with_code("0000000000000001"),
+            fingerprint_with_code("0000000000000002")
+        );
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl Module {
         &self.funcs[id.index()]
     }
 
-    /// Mutable function lookup by id.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.index()]
-    }
-
     /// Function lookup by name.
     pub fn func_by_name(&self, name: &str) -> Option<&Function> {
         self.funcs.iter().find(|f| f.name == name)

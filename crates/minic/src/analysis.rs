@@ -117,11 +117,6 @@ impl SourceAnalysis {
             .into_iter()
             .flat_map(move |fa| fa.defined_at(line).map(|v| v.name.as_str()))
     }
-
-    /// Total number of statement-carrying source lines across functions.
-    pub fn total_code_lines(&self) -> usize {
-        self.funcs.values().map(|f| f.code_lines.len()).sum()
-    }
 }
 
 fn analyze_function(f: &Function) -> FuncAnalysis {

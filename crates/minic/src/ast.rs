@@ -339,56 +339,6 @@ pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
     }
 }
 
-/// Walks all expressions under a statement body, depth-first.
-pub fn walk_exprs<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Expr)) {
-    walk_stmts(stmts, &mut |stmt| {
-        let mut visit = |e: &'a Expr| walk_expr(e, f);
-        match &stmt.kind {
-            StmtKind::Decl { init: Some(e), .. } => visit(e),
-            StmtKind::Assign { value, .. } => visit(value),
-            StmtKind::Store { index, value, .. } => {
-                visit(index);
-                visit(value);
-            }
-            StmtKind::If { cond, .. } => visit(cond),
-            StmtKind::While { cond, .. } | StmtKind::DoWhile { cond, .. } => visit(cond),
-            StmtKind::For { cond: Some(c), .. } => visit(c),
-            StmtKind::Return(Some(e)) => visit(e),
-            StmtKind::ExprStmt(e) => visit(e),
-            _ => {}
-        }
-    });
-}
-
-fn walk_expr<'a>(expr: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    f(expr);
-    match &expr.kind {
-        ExprKind::Index { index, .. } => walk_expr(index, f),
-        ExprKind::Unary { operand, .. } => walk_expr(operand, f),
-        ExprKind::Binary { lhs, rhs, .. }
-        | ExprKind::LogicalAnd { lhs, rhs }
-        | ExprKind::LogicalOr { lhs, rhs } => {
-            walk_expr(lhs, f);
-            walk_expr(rhs, f);
-        }
-        ExprKind::Ternary {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            walk_expr(cond, f);
-            walk_expr(then_val, f);
-            walk_expr(else_val, f);
-        }
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                walk_expr(a, f);
-            }
-        }
-        ExprKind::Int(_) | ExprKind::Var(_) => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

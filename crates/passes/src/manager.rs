@@ -30,15 +30,17 @@ impl Default for PassConfig {
 
 /// A middle-end pass over a whole module.
 pub trait ModulePass: Send + Sync {
-    /// Applies the pass; returns whether anything changed.
-    fn run(&self, module: &mut Module, config: &PassConfig) -> bool;
+    /// Applies the pass in place. It reports nothing: whether a stage
+    /// changed the module is structural module equality, which callers
+    /// derive themselves (as the paper compares rebuilt `.text`).
+    fn run(&self, module: &mut Module, config: &PassConfig);
 }
 
 impl<F> ModulePass for F
 where
-    F: Fn(&mut Module, &PassConfig) -> bool + Send + Sync,
+    F: Fn(&mut Module, &PassConfig) + Send + Sync,
 {
-    fn run(&self, module: &mut Module, config: &PassConfig) -> bool {
+    fn run(&self, module: &mut Module, config: &PassConfig) {
         self(module, config)
     }
 }
@@ -153,13 +155,6 @@ impl PassGate {
         !self.disabled.contains(name)
     }
 
-    /// The disabled names, sorted (for reporting).
-    pub fn disabled_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.disabled.iter().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Whether the gate disables nothing.
     pub fn is_empty(&self) -> bool {
         self.disabled.is_empty()
@@ -217,7 +212,7 @@ mod tests {
     use super::*;
 
     fn noop() -> impl ModulePass {
-        |_: &mut Module, _: &PassConfig| false
+        |_: &mut Module, _: &PassConfig| {}
     }
 
     #[test]

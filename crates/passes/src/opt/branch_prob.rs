@@ -15,18 +15,15 @@ use crate::manager::PassConfig;
 use dt_ir::{DomTree, Function, LoopForest, Module, Profile, Terminator};
 
 /// Annotates every branch of every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= annotate(f, config.profile.as_ref());
+        annotate(f, config.profile.as_ref());
     }
-    changed
 }
 
-fn annotate(f: &mut Function, profile: Option<&Profile>) -> bool {
+fn annotate(f: &mut Function, profile: Option<&Profile>) {
     let dom = DomTree::compute(f);
     let forest = LoopForest::compute(f, &dom);
-    let mut changed = false;
 
     for b in f.block_ids().collect::<Vec<_>>() {
         let Terminator::Branch {
@@ -41,13 +38,9 @@ fn annotate(f: &mut Function, profile: Option<&Profile>) -> bool {
             .or_else(|| static_prob(f, &forest, b, then_bb, else_bb));
 
         if let Terminator::Branch { prob_then, .. } = &mut f.block_mut(b).term {
-            if *prob_then != prob {
-                *prob_then = prob;
-                changed = true;
-            }
+            *prob_then = prob;
         }
     }
-    changed
 }
 
 /// Profile-derived probability: relative weight of the successors'

@@ -18,27 +18,24 @@ use crate::manager::PassConfig;
 use dt_ir::{Function, Module, Op, Value};
 
 /// Conservative mode (`tree-ter`).
-pub fn run_ter(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run_ter(module: &mut Module, config: &PassConfig) {
     run_inner(module, config, false)
 }
 
 /// Aggressive mode (`tree-coalesce-vars`).
-pub fn run_coalesce(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run_coalesce(module: &mut Module, config: &PassConfig) {
     run_inner(module, config, true)
 }
 
-fn run_inner(module: &mut Module, _config: &PassConfig, aggressive: bool) -> bool {
-    let mut changed = false;
+fn run_inner(module: &mut Module, _config: &PassConfig, aggressive: bool) {
     for f in &mut module.funcs {
-        changed |= coalesce_function(f, aggressive);
+        coalesce_function(f, aggressive);
     }
-    changed
 }
 
-fn coalesce_function(f: &mut Function, aggressive: bool) -> bool {
+fn coalesce_function(f: &mut Function, aggressive: bool) {
     let uses = crate::opt::util::use_counts(f);
     let defs = crate::opt::util::def_counts(f);
-    let mut changed = false;
 
     for bi in 0..f.blocks.len() {
         if f.blocks[bi].dead {
@@ -57,7 +54,6 @@ fn coalesce_function(f: &mut Function, aggressive: bool) -> bool {
             };
             if dst == src {
                 f.blocks[bi].insts.remove(i);
-                changed = true;
                 continue;
             }
             // `t` must be a single-def, single-use temporary whose
@@ -123,11 +119,9 @@ fn coalesce_function(f: &mut Function, aggressive: bool) -> bool {
                 }
             }
             f.blocks[bi].insts.remove(i);
-            changed = true;
             // Do not advance: the next instruction shifted into `i`.
         }
     }
-    changed
 }
 
 #[cfg(test)]

@@ -65,17 +65,14 @@ fn is_load_key(k: &ExprKey) -> bool {
 }
 
 /// Runs block-local CSE over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
+pub fn run(module: &mut Module, _config: &PassConfig) {
     let pure_funcs: Vec<bool> = module.funcs.iter().map(|f| f.attrs.pure_const).collect();
-    let mut changed = false;
     for f in &mut module.funcs {
-        changed |= cse_function(f, &pure_funcs);
+        cse_function(f, &pure_funcs);
     }
-    changed
 }
 
-fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
-    let mut changed = false;
+fn cse_function(f: &mut Function, pure_funcs: &[bool]) {
     for bi in 0..f.blocks.len() {
         if f.blocks[bi].dead {
             continue;
@@ -114,7 +111,6 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
                             dst,
                             src: Value::Reg(prior),
                         };
-                        changed = true;
                     }
                 }
             }
@@ -156,7 +152,6 @@ fn cse_function(f: &mut Function, pure_funcs: &[bool]) -> bool {
             }
         }
     }
-    changed
 }
 
 #[cfg(test)]

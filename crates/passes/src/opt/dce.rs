@@ -5,23 +5,19 @@
 //! leftovers of CSE/combining/coalescing actually disappear — and with
 //! them their source lines and, under the gcc policy, the variable
 //! bindings that referenced them. The clang personality salvages
-//! bindings through removed copies ([`util::DbgPolicy::Salvage`]).
+//! bindings through removed copies ([`DbgPolicy::Salvage`]).
 
 use crate::manager::PassConfig;
 use crate::opt::util::{fixup_dbg_after_removal, DbgPolicy};
 use dt_ir::{Function, Liveness, Module, Op};
 
 /// Runs DCE over every function until nothing more dies.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run(module: &mut Module, config: &PassConfig) {
     let policy = DbgPolicy::from_salvage(config.salvage);
     let pure_funcs: Vec<bool> = module.funcs.iter().map(|f| f.attrs.pure_const).collect();
-    let mut changed = false;
     for f in &mut module.funcs {
-        while dce_function(f, policy, &pure_funcs) {
-            changed = true;
-        }
+        while dce_function(f, policy, &pure_funcs) {}
     }
-    changed
 }
 
 fn dce_function(f: &mut Function, policy: DbgPolicy, pure_funcs: &[bool]) -> bool {

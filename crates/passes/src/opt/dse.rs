@@ -19,16 +19,16 @@ use dt_ir::{Function, MemEffect, Module, Op};
 use std::collections::HashSet;
 
 /// DSE with the Og-style protection for named variables' homes.
-pub fn run_preserving(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run_preserving(module: &mut Module, config: &PassConfig) {
     run_inner(module, config, true)
 }
 
 /// Full DSE (O1 and above).
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
+pub fn run(module: &mut Module, config: &PassConfig) {
     run_inner(module, config, false)
 }
 
-fn run_inner(module: &mut Module, _config: &PassConfig, preserve_var_stores: bool) -> bool {
+fn run_inner(module: &mut Module, _config: &PassConfig, preserve_var_stores: bool) {
     // Globals loaded anywhere in the module.
     let mut loaded_globals: HashSet<u32> = HashSet::new();
     for f in &module.funcs {
@@ -44,18 +44,12 @@ fn run_inner(module: &mut Module, _config: &PassConfig, preserve_var_stores: boo
         }
     }
 
-    let mut changed = false;
     for f in &mut module.funcs {
-        changed |= dse_function(f, &loaded_globals, preserve_var_stores);
+        dse_function(f, &loaded_globals, preserve_var_stores);
     }
-    changed
 }
 
-fn dse_function(
-    f: &mut Function,
-    loaded_globals: &HashSet<u32>,
-    preserve_var_stores: bool,
-) -> bool {
+fn dse_function(f: &mut Function, loaded_globals: &HashSet<u32>, preserve_var_stores: bool) {
     // Slots loaded anywhere in this function.
     let mut loaded_slots: HashSet<u32> = HashSet::new();
     for b in f.block_ids() {
@@ -69,7 +63,6 @@ fn dse_function(
         }
     }
 
-    let mut changed = false;
     for bi in 0..f.blocks.len() {
         if f.blocks[bi].dead {
             continue;
@@ -97,9 +90,7 @@ fn dse_function(
         };
 
         // Pass 1: write-only locations.
-        let before = f.blocks[bi].insts.len();
         f.blocks[bi].insts.retain(|i| !removable_write_only(&i.op));
-        changed |= f.blocks[bi].insts.len() != before;
 
         // Pass 2: overwritten scalar stores within the block (backward
         // scan tracking pending overwrites).
@@ -114,7 +105,6 @@ fn dse_function(
                             let protected = preserve_var_stores && f.slots[s.index()].var.is_some();
                             if !protected {
                                 keep[i] = false;
-                                changed = true;
                                 continue;
                             }
                         }
@@ -132,7 +122,6 @@ fn dse_function(
                     if matches!(inst.op, Op::StoreGlobal { .. }) {
                         if pending_global.contains(&g.0) && !preserve_var_stores {
                             keep[i] = false;
-                            changed = true;
                             continue;
                         }
                         pending_global.insert(g.0);
@@ -154,7 +143,6 @@ fn dse_function(
         let mut it = keep.iter();
         f.blocks[bi].insts.retain(|_| *it.next().unwrap());
     }
-    changed
 }
 
 #[cfg(test)]

@@ -20,15 +20,13 @@ enum Key {
 }
 
 /// Runs GVN over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= gvn_function(f);
+        gvn_function(f);
     }
-    changed
 }
 
-fn gvn_function(f: &mut Function) -> bool {
+fn gvn_function(f: &mut Function) {
     let defs = def_counts(f);
     let roots = crate::opt::util::copy_roots(f);
     let resolve = |v: Value| match v {
@@ -62,7 +60,6 @@ fn gvn_function(f: &mut Function) -> bool {
         }
     }
 
-    let mut changed = false;
     // Iterative preorder walk with scope save/restore.
     let mut table: HashMap<Key, VReg> = HashMap::new();
     // (block, undo log of shadowed entries, next child index)
@@ -98,7 +95,6 @@ fn gvn_function(f: &mut Function) -> bool {
                                 dst,
                                 src: Value::Reg(prior),
                             };
-                            changed = true;
                         }
                     } else {
                         local_undo.push((key, table.insert(key, dst)));
@@ -127,7 +123,6 @@ fn gvn_function(f: &mut Function) -> bool {
             }
         }
     }
-    changed
 }
 
 /// Deterministic operand ordering for commutative canonicalization.

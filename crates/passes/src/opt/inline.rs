@@ -80,8 +80,7 @@ impl InlineParams {
 }
 
 /// Runs inlining with the given parameters.
-pub fn run_with(module: &mut Module, config: &PassConfig, params: InlineParams) -> bool {
-    let mut changed = false;
+pub fn run_with(module: &mut Module, config: &PassConfig, params: InlineParams) {
     // Callees that already have one (binding-preserving) inline
     // instance anywhere in the module.
     let mut seen_callees: std::collections::HashSet<FuncId> = Default::default();
@@ -114,7 +113,6 @@ pub fn run_with(module: &mut Module, config: &PassConfig, params: InlineParams) 
                     first_instance,
                 );
                 round_changed = true;
-                changed = true;
                 if module.funcs[caller_idx].code_size() > params.caller_cap {
                     break;
                 }
@@ -124,7 +122,6 @@ pub fn run_with(module: &mut Module, config: &PassConfig, params: InlineParams) 
             break;
         }
     }
-    changed
 }
 
 /// Finds the next eligible call site in `caller`.

@@ -13,19 +13,16 @@ use dt_ir::{BinOp, Function, Module, Op, UnOp, VReg, Value};
 use std::collections::HashMap;
 
 /// Runs combining over every function to a local fixpoint.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
         // Two rounds: copy-prop feeds folding and vice versa.
         for _ in 0..2 {
-            changed |= combine_function(f);
+            combine_function(f);
         }
     }
-    changed
 }
 
-fn combine_function(f: &mut Function) -> bool {
-    let mut changed = false;
+fn combine_function(f: &mut Function) {
     for bi in 0..f.blocks.len() {
         if f.blocks[bi].dead {
             continue;
@@ -60,7 +57,6 @@ fn combine_function(f: &mut Function) -> bool {
             // Simplify the operation.
             if let Some(new_op) = simplify(&inst.op) {
                 inst.op = new_op;
-                changed = true;
             }
 
             // Update the value map.
@@ -80,12 +76,10 @@ fn combine_function(f: &mut Function) -> bool {
             if let Value::Reg(r) = v {
                 if let Some(k) = known.get(r) {
                     *v = *k;
-                    changed = true;
                 }
             }
         });
     }
-    changed
 }
 
 /// Returns the simplified form of `op`, if any.
@@ -266,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn no_change_reports_false() {
+    fn second_run_leaves_module_equal() {
         let src = "int f(int a, int b) { return a ^ b; }";
         let mut m = dt_frontend::lower_source(src).unwrap();
         crate::opt::mem2reg::run(&mut m, &PassConfig::default());
@@ -275,5 +269,29 @@ mod tests {
         let before = m.clone();
         run(&mut m, &PassConfig::default());
         assert_eq!(before, m);
+    }
+
+    #[test]
+    fn module_equality_sees_operand_only_propagation() {
+        // `t = a; s = t + b; return s`: the only rewrite is `s = a + b`,
+        // an in-place operand edit with no instruction added or removed.
+        let mut b = dt_ir::FunctionBuilder::new("f", 2, 1);
+        let t = b.copy(Value::Reg(VReg(0)), 1);
+        let s = b.bin(BinOp::Add, Value::Reg(t), Value::Reg(VReg(1)), 2);
+        b.ret(Some(Value::Reg(s)), 3);
+        let mut m = Module::new();
+        m.add_function(b.finish(3));
+        let before = m.clone();
+        run(&mut m, &PassConfig::default());
+
+        let mut expected = before.clone();
+        expected.funcs[0].blocks[0].insts[1].op = Op::Bin {
+            dst: s,
+            op: BinOp::Add,
+            lhs: Value::Reg(VReg(0)),
+            rhs: Value::Reg(VReg(1)),
+        };
+        assert_eq!(m, expected);
+        assert_ne!(m, before);
     }
 }

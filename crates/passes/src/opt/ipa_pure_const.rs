@@ -9,7 +9,7 @@ use crate::manager::PassConfig;
 use dt_ir::{MemEffect, Module, Op};
 
 /// Runs the bottom-up fixpoint over the call graph.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
+pub fn run(module: &mut Module, _config: &PassConfig) {
     let n = module.funcs.len();
     let mut pure = vec![true; n];
 
@@ -52,14 +52,9 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
         }
     }
 
-    let mut changed = false;
-    for (i, f) in module.funcs.iter_mut().enumerate() {
-        if f.attrs.pure_const != pure[i] {
-            f.attrs.pure_const = pure[i];
-            changed = true;
-        }
+    for (f, pure) in module.funcs.iter_mut().zip(pure) {
+        f.attrs.pure_const = pure;
     }
-    changed
 }
 
 #[cfg(test)]

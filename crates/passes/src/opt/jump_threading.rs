@@ -17,16 +17,13 @@ use dt_ir::{BlockId, Function, Inst, Module, Op, Terminator, VReg, Value};
 const MAX_THREADED_SIZE: usize = 6;
 
 /// Runs jump threading over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= thread_function(f);
+        thread_function(f);
     }
-    changed
 }
 
-fn thread_function(f: &mut Function) -> bool {
-    let mut changed = false;
+fn thread_function(f: &mut Function) {
     let roots = crate::opt::util::copy_roots(f);
     let root = |r: VReg| roots.get(&r).copied().unwrap_or(r);
     // Snapshot candidates first; rewrites invalidate preds.
@@ -82,7 +79,6 @@ fn thread_function(f: &mut Function) -> bool {
                     };
                     let target = if k { then_bb } else { else_bb };
                     thread_edge(f, p, b, target, None);
-                    changed = true;
                 }
                 // Correlated case: the predecessor branched on the same
                 // register, so each edge knows the truthiness.
@@ -94,17 +90,14 @@ fn thread_function(f: &mut Function) -> bool {
                 } if root(pc) == root(c) && p_then != p_else => {
                     if p_then == b {
                         thread_edge(f, p, b, then_bb, Some(true));
-                        changed = true;
                     } else if p_else == b {
                         thread_edge(f, p, b, else_bb, Some(false));
-                        changed = true;
                     }
                 }
                 _ => {}
             }
         }
     }
-    changed
 }
 
 /// Determines the truthiness of `c` on entry to `p` from `p`'s own

@@ -13,34 +13,29 @@ use dt_ir::{DomTree, Function, LoopForest, MemEffect, Module, Op, Value};
 use std::collections::HashSet;
 
 /// Runs LICM over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= licm_function(f);
+        licm_function(f);
     }
-    changed
 }
 
-fn licm_function(f: &mut Function) -> bool {
-    let mut changed = false;
+fn licm_function(f: &mut Function) {
     // Recompute loops after each hoisting round (preheaders mutate the
     // CFG); bound the rounds for safety.
     for _ in 0..4 {
         let dom = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dom);
         if forest.loops.is_empty() {
-            return changed;
+            return;
         }
         let mut round_changed = false;
         for l in &forest.loops {
             round_changed |= hoist_from_loop(f, &l.header, &l.latches, &l.blocks);
         }
-        changed |= round_changed;
         if !round_changed {
             break;
         }
     }
-    changed
 }
 
 fn hoist_from_loop(

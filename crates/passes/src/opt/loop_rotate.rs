@@ -15,29 +15,27 @@ use crate::manager::PassConfig;
 use dt_ir::{DomTree, Function, LoopForest, Module, Terminator};
 
 /// Rotates every eligible loop.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
         // One rotation round (re-running on rotated loops is a no-op:
         // their headers are no longer branch-terminated).
         let dom = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dom);
         for l in &forest.loops {
-            changed |= rotate(f, l);
+            rotate(f, l);
         }
     }
-    changed
 }
 
-fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
+fn rotate(f: &mut Function, l: &dt_ir::Loop) {
     let header = l.header;
     // Single-latch loops with a branch-terminated, pure header.
     if l.latches.len() != 1 {
-        return false;
+        return;
     }
     let latch = l.latches[0];
     if latch == header {
-        return false; // self-loop is already bottom-tested
+        return; // self-loop is already bottom-tested
     }
     let Terminator::Branch {
         cond,
@@ -46,13 +44,13 @@ fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
         prob_then,
     } = f.block(header).term.clone()
     else {
-        return false; // already rotated or irregular
+        return; // already rotated or irregular
     };
     // One successor in the loop, one out.
     let (in_loop, _out) = match (l.contains(then_bb), l.contains(else_bb)) {
         (true, false) => (then_bb, else_bb),
         (false, true) => (else_bb, then_bb),
-        _ => return false,
+        _ => return,
     };
     if !f
         .block(header)
@@ -60,11 +58,11 @@ fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
         .iter()
         .all(|i| i.op.is_pure() || i.op.is_dbg())
     {
-        return false;
+        return;
     }
     // The latch must currently jump straight to the header.
     if !matches!(f.block(latch).term, Terminator::Jump(t) if t == header) {
-        return false;
+        return;
     }
     let _ = in_loop;
 
@@ -94,7 +92,6 @@ fn rotate(f: &mut Function, l: &dt_ir::Loop) -> bool {
     f.block_mut(bottom).insts = cloned;
     f.block_mut(bottom).term_line = f.block(header).term_line;
     f.block_mut(latch).term = Terminator::Jump(bottom);
-    true
 }
 
 #[cfg(test)]

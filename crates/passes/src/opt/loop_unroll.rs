@@ -25,18 +25,15 @@ const MAX_BODY: usize = 24;
 const HOT_MULTIPLIER: usize = 3;
 
 /// Runs full unrolling over every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, config: &PassConfig) {
     for f in &mut module.funcs {
         // Unrolling invalidates loop info; handle one loop per round.
         for _ in 0..4 {
             if !unroll_one(f, config) {
                 break;
             }
-            changed = true;
         }
     }
-    changed
 }
 
 fn unroll_one(f: &mut Function, config: &PassConfig) -> bool {

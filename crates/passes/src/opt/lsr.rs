@@ -16,18 +16,15 @@ use crate::opt::util::{ensure_preheader, find_inductions};
 use dt_ir::{BinOp, DbgLoc, DomTree, Function, Inst, LoopForest, Module, Op, Value};
 
 /// Runs strength reduction over every function.
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= lsr_function(f, config.salvage);
+        lsr_function(f, config.salvage);
     }
-    changed
 }
 
-fn lsr_function(f: &mut Function, salvage: bool) -> bool {
+fn lsr_function(f: &mut Function, salvage: bool) {
     let dom = DomTree::compute(f);
     let forest = LoopForest::compute(f, &dom);
-    let mut changed = false;
 
     // Collect rewrites first (loop info borrows f).
     struct Rewrite {
@@ -95,9 +92,7 @@ fn lsr_function(f: &mut Function, salvage: bool) -> bool {
         );
         touched.push(rw.mul_at.0);
         touched.push(rw.ind.incr_at.0);
-        changed = true;
     }
-    changed
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -15,15 +15,13 @@ use crate::manager::PassConfig;
 use dt_ir::{DbgLoc, Function, Inst, Module, Op, SlotId, VReg, Value};
 
 /// Runs promotion over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= promote_function(f);
+        promote_function(f);
     }
-    changed
 }
 
-fn promote_function(f: &mut Function) -> bool {
+fn promote_function(f: &mut Function) {
     // Promotable: scalar slots only ever accessed as whole words.
     let mut promotable = vec![true; f.slots.len()];
     for (i, s) in f.slots.iter().enumerate() {
@@ -42,7 +40,7 @@ fn promote_function(f: &mut Function) -> bool {
         }
     }
     if !promotable.iter().any(|&p| p) {
-        return false;
+        return;
     }
 
     // One register per promoted slot.
@@ -52,7 +50,6 @@ fn promote_function(f: &mut Function) -> bool {
         .collect();
     let slot_var: Vec<Option<dt_ir::VarId>> = f.slots.iter().map(|s| s.var).collect();
 
-    let mut changed = false;
     for bi in 0..f.blocks.len() {
         if f.blocks[bi].dead {
             continue;
@@ -75,7 +72,6 @@ fn promote_function(f: &mut Function) -> bool {
                         dbg.fused = false;
                         out.push(dbg);
                     }
-                    changed = true;
                 }
                 Op::LoadSlot { dst, slot } if regs[slot.index()].is_some() => {
                     let reg = regs[slot.index()].unwrap();
@@ -86,7 +82,6 @@ fn promote_function(f: &mut Function) -> bool {
                         },
                         inst.line,
                     ));
-                    changed = true;
                 }
                 Op::DbgValue {
                     var,
@@ -100,7 +95,6 @@ fn promote_function(f: &mut Function) -> bool {
                         },
                         inst.line,
                     ));
-                    changed = true;
                 }
                 _ => out.push(inst),
             }
@@ -115,7 +109,6 @@ fn promote_function(f: &mut Function) -> bool {
             f.slots[SlotId(i as u32).index()].size = 0;
         }
     }
-    changed
 }
 
 #[cfg(test)]

@@ -18,34 +18,27 @@ use crate::manager::PassConfig;
 use dt_ir::{BlockId, DbgLoc, Function, Inst, Module, Op, Terminator, Value};
 
 /// Full SimplifyCFG: cleanup plus select formation (clang).
-pub fn run(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= simplify(f, true, config.salvage);
+        simplify(f, true, config.salvage);
     }
-    changed
 }
 
 /// Cleanup only (used inside other gcc-level pipeline points).
-pub fn run_cleanup(module: &mut Module, config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run_cleanup(module: &mut Module, config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= simplify(f, false, config.salvage);
+        simplify(f, false, config.salvage);
     }
-    changed
 }
 
 /// Select formation only (gcc's `if-conversion`).
-pub fn run_if_convert(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run_if_convert(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
-        changed |= form_selects(f);
+        form_selects(f);
     }
-    changed
 }
 
-fn simplify(f: &mut Function, selects: bool, salvage: bool) -> bool {
-    let mut changed = false;
+fn simplify(f: &mut Function, selects: bool, salvage: bool) {
     let mut local = true;
     while local {
         local = false;
@@ -55,10 +48,8 @@ fn simplify(f: &mut Function, selects: bool, salvage: bool) -> bool {
         if selects {
             local |= form_selects(f);
         }
-        changed |= local;
     }
     remove_unreachable(f);
-    changed
 }
 
 fn fold_constant_branches(f: &mut Function) -> bool {

@@ -13,8 +13,7 @@ use crate::manager::PassConfig;
 use dt_ir::{DbgLoc, Function, Inst, Liveness, Module, Op, Terminator, Value};
 
 /// Runs sinking over every function.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
         // Fixpoint: sinking one instruction can unblock its operands
         // (their last use just moved out of the block).
@@ -22,10 +21,8 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
             if !sink_function(f) {
                 break;
             }
-            changed = true;
         }
     }
-    changed
 }
 
 fn sink_function(f: &mut Function) -> bool {

@@ -12,8 +12,7 @@ use crate::manager::PassConfig;
 use dt_ir::{Module, Op};
 
 /// Runs pairwise fusion over every block.
-pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
-    let mut changed = false;
+pub fn run(module: &mut Module, _config: &PassConfig) {
     for f in &mut module.funcs {
         for bi in 0..f.blocks.len() {
             if f.blocks[bi].dead {
@@ -61,7 +60,6 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
                 if fusible {
                     insts[i].fused = true;
                     insts[j].line = 0;
-                    changed = true;
                     i = j + 1;
                 } else {
                     i += 1;
@@ -69,13 +67,13 @@ pub fn run(module: &mut Module, _config: &PassConfig) -> bool {
             }
         }
     }
-    changed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::PassConfig;
+    use dt_ir::{BinOp, VReg, Value};
 
     fn pipeline(src: &str, slp: bool) -> Module {
         let mut m = dt_frontend::lower_source(src).unwrap();
@@ -140,6 +138,29 @@ mod tests {
             .count();
         assert_eq!(fused, 0);
         cycles(&m, &[5], 8);
+    }
+
+    #[test]
+    fn module_equality_sees_an_slp_only_rewrite() {
+        // `x = a + 1; y = b + 2; return x ^ y`: SLP's only edits are
+        // `x.fused` and `y.line`.
+        let mut b = dt_ir::FunctionBuilder::new("f", 2, 1);
+        let x = b.bin(BinOp::Add, Value::Reg(VReg(0)), Value::Const(1), 1);
+        let y = b.bin(BinOp::Add, Value::Reg(VReg(1)), Value::Const(2), 2);
+        let z = b.bin(BinOp::Xor, Value::Reg(x), Value::Reg(y), 3);
+        b.ret(Some(Value::Reg(z)), 3);
+        let mut m = Module::new();
+        m.add_function(b.finish(3));
+        let before = m.clone();
+        run(&mut m, &PassConfig::default());
+
+        let mut fused_only = before.clone();
+        fused_only.funcs[0].blocks[0].insts[0].fused = true;
+        assert_ne!(fused_only, before, "a `fused` flip alone is a change");
+        let mut expected = fused_only;
+        expected.funcs[0].blocks[0].insts[1].line = 0;
+        assert_eq!(m, expected);
+        assert_ne!(m, before);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! Correctness invariant (enforced by `tests/proptest_pipeline.rs` and
 //! `examples/session_check.rs`): for every gate,
-//! `session.compile_variant(&gate)` is bit-identical
+//! `session.build_variant(&gate).object` is bit-identical
 //! ([`Object::content_hash`]) to [`crate::compile_source`] from
 //! scratch with the same options. This holds because
 //!
@@ -196,11 +196,6 @@ impl CompileSession {
             object: dt_machine::run_backend(&m, &backend),
             prefix_skipped: k,
         }
-    }
-
-    /// [`Self::build_variant`], returning just the object.
-    pub fn compile_variant(&self, gate: &PassGate) -> Object {
-        self.build_variant(gate).object
     }
 
     /// The size of the snapshot store.

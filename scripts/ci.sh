@@ -10,6 +10,10 @@ cargo fmt --all --check
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "== rustdoc (-D warnings) =="
+# Deleting a public item must not leave a dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1 verify: build =="
 cargo build --release
 

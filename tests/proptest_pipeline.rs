@@ -120,7 +120,7 @@ proptest! {
 
         let session = CompileSession::from_source(&src, personality, level, None).unwrap();
         let scratch = compile_source(&src, &opts).unwrap();
-        let resumed = session.compile_variant(&gate);
+        let resumed = session.build_variant(&gate).object;
         prop_assert_eq!(
             resumed.content_hash(),
             scratch.content_hash(),

@@ -56,7 +56,9 @@ fn parse_cli() -> Result<Cli, String> {
             "--jobs" => {
                 cli.jobs = take("--jobs")?
                     .parse()
-                    .map_err(|_| "--jobs requires a positive integer".to_string())?
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| "--jobs requires a positive integer".to_string())?
             }
             "--results" => cli.results = Some(take("--results")?),
             "--list" => cli.list = true,

@@ -309,23 +309,39 @@ mod tests {
     #[test]
     fn campaign_declares_every_results_artifact() {
         let c = build_campaign();
-        // Every persisted job id matches one historical results file.
-        let outputs: Vec<&str> = c
+        // The persisted jobs are exactly the 16 tables + 3 figures, one
+        // `results/<id>.txt` each, under the ids DESIGN.md indexes.
+        let mut outputs: Vec<&str> = c
             .ids()
             .iter()
             .copied()
             .filter(|id| c.is_output(id) == Some(true))
             .collect();
-        assert_eq!(outputs.len(), 19, "16 tables + 3 figures");
-        for id in [
-            "table01_methods",
-            "table08_tradeoff",
-            "table16_correctness",
-            "fig02_pareto",
-            "fig04_selfcompile",
-        ] {
-            assert!(outputs.contains(&id), "missing output job {id}");
-        }
+        outputs.sort_unstable();
+        assert_eq!(
+            outputs,
+            [
+                "fig02_pareto",
+                "fig03_autofdo_spec",
+                "fig04_selfcompile",
+                "table01_methods",
+                "table02_libpng",
+                "table03_testsuite",
+                "table04_quality",
+                "table05_gcc_passes",
+                "table06_clang_passes",
+                "table07_breakdown",
+                "table08_tradeoff",
+                "table09_gcc_dy",
+                "table10_clang_dy",
+                "table11_spec_speedup",
+                "table12_spec_delta",
+                "table13_pareto_dbg",
+                "table14_pareto_perf",
+                "table15_autofdo",
+                "table16_correctness",
+            ]
+        );
         // Shared artifacts are first-class ephemeral jobs.
         for id in [
             "suite_inputs",

@@ -1,8 +1,9 @@
 //! Experiment drivers: one function per paper table/figure.
 //!
 //! Each `tableNN_*` / `figNN_*` function computes its artifact and
-//! returns the formatted text; the binaries in `src/bin/` print it and
-//! save it under `results/`. Scale knobs (environment):
+//! returns the formatted text; [`campaign`] declares one job per
+//! artifact, and `all_experiments` runs them and saves each under
+//! `results/`. Scale knobs (environment):
 //!
 //! * `DT_SYNTH_N` — synthetic population size (default 120; the paper
 //!   uses 5000);
@@ -52,17 +53,6 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("DT_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Prints and persists one experiment's output. The write is atomic
-/// (temp file + rename, via the campaign store's writer), so a run
-/// killed mid-emit never leaves a truncated `results/*.txt`; I/O
-/// failures propagate to the caller instead of being swallowed.
-pub fn emit(id: &str, body: &str) -> std::io::Result<PathBuf> {
-    println!("{body}");
-    let path = results_dir().join(format!("{id}.txt"));
-    dt_campaign::write_atomic(&path, body)?;
-    Ok(path)
 }
 
 fn gcc_levels() -> &'static [OptLevel] {
@@ -925,7 +915,7 @@ pub fn table16_correctness(tuner: &DebugTuner, programs: &[ProgramInput]) -> Str
     out
 }
 
-/// Builds a shared tuner sized for the experiment binaries.
+/// Builds the tuner the campaign shares across its jobs.
 pub fn make_tuner() -> DebugTuner {
     DebugTuner::new(TunerConfig {
         max_steps_per_input: 3_000_000,

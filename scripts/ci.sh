@@ -61,6 +61,13 @@ warm_summary="$(cargo run --release -p experiments --bin all_experiments -- \
 echo "warm: $warm_summary"
 grep -q " ran=0 " <<<"$warm_summary"
 grep -q " failed=0 " <<<"$warm_summary"
+# One table through `--only`, the documented way to produce a single
+# artifact: served from the warm cache, so nothing runs.
+only_summary="$(cargo run --release -p experiments --bin all_experiments -- \
+  --results "$CAMPAIGN_DIR" --quiet --only table05_gcc_passes | tail -n 1)"
+echo "only: $only_summary"
+grep -q " ran=0 " <<<"$only_summary"
+grep -q " failed=0 " <<<"$only_summary"
 unset DT_SYNTH_N DT_FUZZ_ITERS
 
 echo "CI green."
